@@ -2,9 +2,8 @@
 
 Queues are point-to-point work queues with exactly one consumer; fan-out is
 built by the planner out of multiple queues. Each queue keeps at most
-``memory_capacity`` tuples in memory. Under the default ``spill`` overflow
-policy the excess goes to append-only NDJSON segment files and nothing is
-ever dropped; under ``block`` the publisher waits for space.
+``memory_capacity`` tuples in memory; the excess goes to append-only NDJSON
+segment files and nothing is ever dropped.
 
 Delivery is FIFO overall and exactly-once within the process. The spill
 region always holds tuples newer than the in-memory region: once a queue has
@@ -21,9 +20,9 @@ from __future__ import annotations
 import logging
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 from .model import StreamTuple, decode_tuple, encode_tuple
 
@@ -50,29 +49,16 @@ class SubscriberConflict(BrokerError):
     """A second subscription was attempted on a single-consumer queue."""
 
 
-class OverflowPolicy:
-    SPILL = "spill"
-    BLOCK = "block"
-
-
 @dataclass(frozen=True)
 class QueueConfig:
-    """Declaration-time queue settings.
-
-    ``spill_directory`` overrides the broker-wide spill root for this queue;
-    None uses ``<broker spill root>/<queue name>``.
-    """
+    """Declaration-time queue settings; spill files go under ``<spill root>/<name>``."""
 
     name: str
     memory_capacity: int = 100_000
-    spill_directory: Path | None = None
-    overflow_policy: str = OverflowPolicy.SPILL
 
     def __post_init__(self) -> None:
         if self.memory_capacity < 1:
             raise ValueError(f"memory_capacity must be >= 1, got {self.memory_capacity}")
-        if self.overflow_policy not in (OverflowPolicy.SPILL, OverflowPolicy.BLOCK):
-            raise ValueError(f"unknown overflow policy: {self.overflow_policy}")
 
 
 @dataclass(frozen=True)
@@ -139,7 +125,6 @@ class Queue:
         self._spill_dir = spill_dir
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
-        self._not_full = threading.Condition(self._lock)
         self._mem: deque[StreamTuple] = deque()
         self._segments: deque[_Segment] = deque()
         self._next_segment = 0
@@ -153,7 +138,7 @@ class Queue:
     # -- publishing -------------------------------------------------------
 
     def publish(self, t: StreamTuple) -> None:
-        """Enqueue one tuple; blocks only under the block overflow policy."""
+        """Enqueue one tuple; never blocks, spilling to disk past capacity."""
         with self._lock:
             self._publish_locked(t)
             self._not_empty.notify()
@@ -172,13 +157,7 @@ class Queue:
     def _publish_locked(self, t: StreamTuple) -> None:
         if self._closed:
             raise ClosedQueueError(f"queue {self.name!r} is closed")
-        if self.config.overflow_policy == OverflowPolicy.BLOCK:
-            while len(self._mem) >= self.config.memory_capacity and not self._closed:
-                self._not_full.wait()
-            if self._closed:
-                raise ClosedQueueError(f"queue {self.name!r} is closed")
-            self._mem.append(t)
-        elif self._on_disk > 0 or len(self._mem) >= self.config.memory_capacity:
+        if self._on_disk > 0 or len(self._mem) >= self.config.memory_capacity:
             self._spill_locked(t)
         else:
             self._mem.append(t)
@@ -204,7 +183,6 @@ class Queue:
     def _pop_locked(self) -> StreamTuple:
         if self._mem:
             t = self._mem.popleft()
-            self._not_full.notify()
         else:
             seg = self._segments[0]
             t = decode_tuple(seg.pop_line())
@@ -244,7 +222,6 @@ class Queue:
         with self._lock:
             self._closed = True
             self._not_empty.notify_all()
-            self._not_full.notify_all()
 
     @property
     def closed(self) -> bool:
@@ -259,7 +236,6 @@ class Queue:
             self._segments.clear()
             self._on_disk = 0
             self._not_empty.notify_all()
-            self._not_full.notify_all()
 
 
 class Subscription:
@@ -336,8 +312,7 @@ class Broker:
                         f"queue {config.name!r} already declared with a different config"
                     )
                 return existing
-            spill_dir = config.spill_directory or (self.spill_root / config.name)
-            queue = Queue(config, Path(spill_dir))
+            queue = Queue(config, self.spill_root / config.name)
             self._queues[config.name] = queue
             self._configs[config.name] = config
             logger.debug("declared queue %s (capacity=%d)", config.name, config.memory_capacity)

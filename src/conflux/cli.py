@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import re
 import sys
@@ -26,10 +27,10 @@ from pathlib import Path
 
 from .broker import Broker, BrokerError
 from .clock import SystemClock, VirtualClock
-from .model import Interval, StreamTuple, TupleDecodeError, decode_tuple
+from .model import StreamTuple, TupleDecodeError, decode_tuple
 from .planner import PipelineState, PlanError, launch, plan, run_virtual
 from .query import Catalog, QueryError, QuerySpec, parse_query
-from .runtime import encode_error, encode_result, is_error_tuple, result_from_tuple
+from .runtime import encode_result, is_error_tuple
 from .simulator import FarmConfig, Topology, farm_config_from_dict, replay_log, run_farm
 from .store import HistoricStore, SeriesRef, StoreError
 
@@ -79,7 +80,10 @@ def _spill_root(args) -> Path:
 
 
 def _read_csv_tuples(path: Path) -> tuple[list[StreamTuple], int]:
-    """CSV rows to tuples: header names attributes, ts column in ms, src optional."""
+    """CSV rows to tuples: header names attributes, ts column in ms, src optional.
+
+    A row with an unparsable ts or a non-finite number counts as malformed.
+    """
     tuples: list[StreamTuple] = []
     bad = 0
     with open(path, newline="", encoding="utf-8") as f:
@@ -95,9 +99,13 @@ def _read_csv_tuples(path: Path) -> tuple[list[StreamTuple], int]:
                     if raw is None or raw == "":
                         continue
                     try:
-                        attrs[name] = float(raw)
+                        value = float(raw)
                     except ValueError:
                         attrs[name] = raw
+                        continue
+                    if not math.isfinite(value):
+                        raise ValueError(f"non-finite value for attribute {name!r}")
+                    attrs[name] = value
                 tuples.append(StreamTuple(timestamp=ts, attributes=attrs, source_id=src))
             except (ValueError, TypeError):
                 bad += 1
@@ -167,15 +175,6 @@ def _catalog_for(spec: QuerySpec, store: HistoricStore | None) -> Catalog:
     return Catalog(stream_queues=frozenset(queues), series_attributes=series_attributes)
 
 
-def _result_line(t: StreamTuple) -> str:
-    if is_error_tuple(t):
-        return encode_error(
-            t.timestamp,
-            Interval(t.attributes["uncovered_start"], t.attributes["uncovered_end"]),
-        )
-    return encode_result(result_from_tuple(t))
-
-
 def _write_results(pipeline, broker: Broker, args) -> int:
     stage = pipeline.plan.operator_stages[0]
     sub = broker.subscribe(stage.sink_queue)
@@ -184,7 +183,7 @@ def _write_results(pipeline, broker: Broker, args) -> int:
     out = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
     try:
         for t in results:
-            out.write(_result_line(t))
+            out.write(encode_result(t))
             out.write("\n")
     finally:
         if out is not sys.stdout:

@@ -16,8 +16,8 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Union
+from dataclasses import dataclass
+from typing import Union
 
 # Epoch-millisecond timestamps are kept within signed 64-bit range so they
 # stay interoperable with stores and wire formats that use a long.
@@ -80,30 +80,9 @@ class Interval:
         if self.start > self.end:
             raise ValueError(f"interval start {self.start} exceeds end {self.end}")
 
-    def contains(self, t: int) -> bool:
-        return self.start <= t < self.end
-
     @property
     def length(self) -> int:
         return self.end - self.start
-
-    def shifted(self, delta: int) -> "Interval":
-        return Interval(self.start + delta, self.end + delta)
-
-
-def bucket_of(t: int, bucket_width: int, origin: int) -> Interval:
-    """Return the unique bucket [origin + k*w, origin + (k+1)*w) containing ``t``.
-
-    Buckets of equal width and origin partition the timeline; a timestamp on
-    a boundary belongs to the bucket it starts.
-    """
-    if bucket_width <= 0:
-        raise ValueError(f"bucket width must be positive, got {bucket_width}")
-    if t < origin:
-        raise ValueError(f"timestamp {t} precedes bucket origin {origin}")
-    k = (t - origin) // bucket_width
-    start = origin + k * bucket_width
-    return Interval(start, start + bucket_width)
 
 
 @dataclass(frozen=True)
@@ -127,9 +106,6 @@ class StreamTuple:
             raise ValueError(f"timestamp out of range: {self.timestamp}")
         if not self.attributes:
             raise ValueError("tuple must carry at least one attribute")
-
-    def value(self, attribute: str) -> Value | None:
-        return self.attributes.get(attribute)
 
 
 @dataclass(frozen=True)
@@ -203,14 +179,3 @@ def decode_tuple(line: str) -> StreamTuple:
     except ValueError as exc:
         raise TupleDecodeError(str(exc)) from None
 
-
-def iter_tuple_lines(lines: Iterable[str]) -> Iterator[StreamTuple]:
-    """Decode an iterable of NDJSON lines, skipping blank lines.
-
-    Malformed lines raise; callers that want skip-with-diagnostics semantics
-    (the log replayer) catch TupleDecodeError per line.
-    """
-    for line in lines:
-        line = line.strip()
-        if line:
-            yield decode_tuple(line)

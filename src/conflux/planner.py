@@ -116,12 +116,7 @@ class PipelinePlan:
         obj = {
             "id": self.id,
             "queues": [
-                {
-                    "name": q.name,
-                    "memory_capacity": q.memory_capacity,
-                    "overflow_policy": q.overflow_policy,
-                }
-                for q in self.queues
+                {"name": q.name, "memory_capacity": q.memory_capacity} for q in self.queues
             ],
             "stages": stages,
         }
@@ -265,14 +260,12 @@ class Pipeline:
         store: HistoricStore | None,
         clock: Clock | None = None,
         duration_ms: int | None = None,
-        split_ms: int | None = None,
     ):
         self.plan = plan
         self.broker = broker
         self.store = store
         self.clock = clock if clock is not None else SystemClock()
         self.duration_ms = duration_ms
-        self.split_ms = split_ms
         self.state = PipelineState.STARTING
         self.cause: str | None = None
         self.operators: list[Operator] = []
@@ -346,7 +339,6 @@ class Pipeline:
                         sink=self.broker.get_queue(stage.sink_queue),
                         historic=historic,
                         clock=self.clock,
-                        split_ms=self.split_ms,
                     )
                 )
 
@@ -458,13 +450,10 @@ def launch(
     store: HistoricStore | None = None,
     clock: Clock | None = None,
     duration_ms: int | None = None,
-    split_ms: int | None = None,
     threaded: bool = True,
 ) -> Pipeline:
     """Declare queues, wire stages and start them; failures roll back cleanly."""
-    pipeline = Pipeline(
-        plan, broker, store, clock=clock, duration_ms=duration_ms, split_ms=split_ms
-    )
+    pipeline = Pipeline(plan, broker, store, clock=clock, duration_ms=duration_ms)
     return pipeline.start(threaded=threaded)
 
 

@@ -358,21 +358,6 @@ def parse_query(text: str) -> QuerySpec:
     return _Parser(tokenize(text)).parse()
 
 
-def split_query_blocks(text: str) -> list[str]:
-    """Split a query file into blocks separated by blank lines."""
-    blocks: list[str] = []
-    current: list[str] = []
-    for line in text.splitlines():
-        if line.strip():
-            current.append(line)
-        elif current:
-            blocks.append("\n".join(current))
-            current = []
-    if current:
-        blocks.append("\n".join(current))
-    return blocks
-
-
 # ---------------------------------------------------------------------------
 # Rendering
 

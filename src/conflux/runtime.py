@@ -44,45 +44,22 @@ logger = logging.getLogger(__name__)
 class OperatorConfig:
     """Everything an operator needs beyond its wiring.
 
-    ``allowed_lateness`` extends tuple admission below the next window's
-    lower bound. ``live_retention`` declares how far back the live stream
-    can answer when no historic source is attached; None means unbounded,
-    so hybrid evaluation never reports an uncovered interval.
+    ``live_retention`` declares how far back the live stream can answer
+    when no historic source is attached; None means unbounded, so hybrid
+    evaluation never reports an uncovered interval.
     """
 
     trigger: Frequency
     window: WindowSpec
     aggregation: AggregationFunction
     attribute: str
-    allowed_lateness: int = 0
     live_retention: int | None = None
 
     def __post_init__(self) -> None:
         if not self.attribute:
             raise ValueError("attribute must be non-empty")
-        if self.allowed_lateness < 0:
-            raise ValueError(f"allowed_lateness must be >= 0, got {self.allowed_lateness}")
         if self.live_retention is not None and self.live_retention < 0:
             raise ValueError(f"live_retention must be >= 0, got {self.live_retention}")
-
-
-class Watermark:
-    """Boundary between history-served and live-served time; never moves back."""
-
-    def __init__(self, split: int):
-        self._split = split
-
-    @property
-    def split(self) -> int:
-        return self._split
-
-    def advance(self, split: int) -> None:
-        if split < self._split:
-            raise ValueError(f"watermark cannot move back from {self._split} to {split}")
-        self._split = split
-
-    def __repr__(self) -> str:
-        return f"Watermark(split={self._split})"
 
 
 @dataclass(frozen=True)
@@ -193,54 +170,17 @@ ERROR_KEY = "error"
 INCOMPLETE_WINDOW = "incomplete_window"
 
 
-def encode_result(r: WindowResult) -> str:
-    """One NDJSON line per result; value is omitted for empty windows."""
-    obj: dict[str, object] = {
-        "trigger_ts": r.trigger_time,
-        "win_start": r.window.start,
-        "win_end": r.window.end,
-        "count": r.count,
-    }
-    if r.value is not None:
-        obj["value"] = r.value
-    obj["hist_count"] = r.history_count
-    obj["live_count"] = r.live_count
-    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
-
-
-def decode_result(line: str) -> WindowResult:
-    obj = json.loads(line)
-    return WindowResult(
-        trigger_time=obj["trigger_ts"],
-        window=Interval(obj["win_start"], obj["win_end"]),
-        count=obj["count"],
-        value=obj.get("value"),
-        history_count=obj["hist_count"],
-        live_count=obj["live_count"],
-    )
-
-
-def encode_error(trigger_time: int, uncovered: Interval) -> str:
-    obj = {
-        "trigger_ts": trigger_time,
-        ERROR_KEY: INCOMPLETE_WINDOW,
-        "uncovered_start": uncovered.start,
-        "uncovered_end": uncovered.end,
-    }
-    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
-
-
 def result_to_tuple(r: WindowResult, source_id: str) -> StreamTuple:
-    """Results travel broker queues as ordinary tuples."""
+    """Results travel broker queues as ordinary tuples; value is omitted when empty."""
     attrs: dict[str, object] = {
         "win_start": r.window.start,
         "win_end": r.window.end,
         "count": r.count,
-        "hist_count": r.history_count,
-        "live_count": r.live_count,
     }
     if r.value is not None:
         attrs["value"] = r.value
+    attrs["hist_count"] = r.history_count
+    attrs["live_count"] = r.live_count
     return StreamTuple(timestamp=r.trigger_time, attributes=attrs, source_id=source_id)
 
 
@@ -268,6 +208,19 @@ def is_error_tuple(t: StreamTuple) -> bool:
     return ERROR_KEY in t.attributes
 
 
+def encode_result(t: StreamTuple) -> str:
+    """One NDJSON line per sink tuple, result or error: trigger_ts, then its attributes."""
+    return json.dumps(
+        {"trigger_ts": t.timestamp, **t.attributes}, separators=(",", ":"), allow_nan=False
+    )
+
+
+def decode_result(line: str) -> WindowResult:
+    """Inverse of ``encode_result`` for window results."""
+    obj = json.loads(line)
+    return result_from_tuple(StreamTuple(timestamp=obj.pop("trigger_ts"), attributes=obj))
+
+
 # -- operator ---------------------------------------------------------------
 
 
@@ -285,9 +238,8 @@ class OperatorMetrics:
 class Operator:
     """One scheduled aggregation stage between a fetch queue and a sink queue.
 
-    ``split_ms`` fixes the watermark explicitly (e.g. at the end of the
-    ingested history); by default it is the operator's start instant, so
-    everything stored before launch is history and everything after is live.
+    ``split`` is the watermark: the operator's start instant, so everything
+    stored before launch is history and everything after is live.
     """
 
     def __init__(
@@ -298,7 +250,6 @@ class Operator:
         sink: Queue,
         historic: Connection | None = None,
         clock: Clock | None = None,
-        split_ms: int | None = None,
     ):
         self.name = name
         self.config = config
@@ -306,14 +257,13 @@ class Operator:
         self.sink = sink
         self.historic = historic
         self.clock = clock if clock is not None else SystemClock()
-        self._split_override = split_ms
         self.metrics = OperatorMetrics()
         self._buffer: list[StreamTuple] = []
         self._started = False
         self._stopped = False
         self.stop_reason: str | None = None
         self.anchor = 0
-        self.watermark = Watermark(0)
+        self.split = 0
         self._next_trigger = 0
         self._end: int | None = None
 
@@ -324,9 +274,7 @@ class Operator:
         if self._started:
             raise RuntimeError(f"operator {self.name} already started")
         self._started = True
-        self.anchor = self.clock.now_ms()
-        split = self._split_override if self._split_override is not None else self.anchor
-        self.watermark = Watermark(split)
+        self.anchor = self.split = self.clock.now_ms()
         self._next_trigger = self.anchor + self.config.trigger.period_ms
         if duration_ms is not None:
             self._end = self.anchor + duration_ms
@@ -334,7 +282,7 @@ class Operator:
             "operator %s started at %d (split=%d, first trigger=%d)",
             self.name,
             self.anchor,
-            split,
+            self.split,
             self._next_trigger,
         )
 
@@ -371,19 +319,18 @@ class Operator:
     # -- buffer -----------------------------------------------------------
 
     def _admission_bound(self) -> int:
-        """Lower timestamp bound for admission: next window's start minus lateness."""
-        next_window = window_extent(self.config.window, self._next_trigger, self.anchor)
-        return next_window.start - self.config.allowed_lateness
+        """Lower timestamp bound for admission: the next window's start."""
+        return window_extent(self.config.window, self._next_trigger, self.anchor).start
 
     def admit(self, t: StreamTuple) -> bool:
-        """Buffer a tuple unless no reachable window can still use it."""
+        """Buffer a tuple unless it is late or carries no numeric attribute value."""
         self.metrics.tuples_in += 1
         if t.timestamp < self._admission_bound():
             self.metrics.late_dropped += 1
             return False
-        v = t.attributes.get(self.config.attribute)
-        if not is_numeric_value(v):
+        if not is_numeric_value(t.attributes.get(self.config.attribute)):
             self.metrics.non_numeric_skipped += 1
+            return False
         insort(self._buffer, t, key=lambda x: x.timestamp)
         self.metrics.buffered = len(self._buffer)
         return True
@@ -403,7 +350,7 @@ class Operator:
             result = hybrid_evaluate(
                 trigger_time,
                 window,
-                self.watermark.split,
+                self.split,
                 self._buffer,
                 self.historic,
                 self.config,

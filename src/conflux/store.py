@@ -162,9 +162,8 @@ class _Series:
 class HistoricStore:
     """The embedded engine behind every registered provider name."""
 
-    def __init__(self, root: Path | str | None = None, providers: Iterable[str] = KNOWN_PROVIDERS):
+    def __init__(self, root: Path | str | None = None):
         self.root = None if root is None else Path(root)
-        self.providers = frozenset(providers)
         self._series: dict[SeriesRef, _Series] = {}
         self._lock = threading.RLock()
         self._closed = False
@@ -178,7 +177,7 @@ class HistoricStore:
         if not self.root.is_dir():
             return
         for provider_dir in sorted(p for p in self.root.iterdir() if p.is_dir()):
-            if provider_dir.name not in self.providers:
+            if provider_dir.name not in KNOWN_PROVIDERS:
                 continue
             for database_dir in sorted(p for p in provider_dir.iterdir() if p.is_dir()):
                 for series_dir in sorted(p for p in database_dir.iterdir() if p.is_dir()):
@@ -228,7 +227,7 @@ class HistoricStore:
             self._register_locked(ref)
 
     def _register_locked(self, ref: SeriesRef) -> _Series:
-        if ref.provider not in self.providers:
+        if ref.provider not in KNOWN_PROVIDERS:
             raise UnknownSeriesError(f"unknown historic provider: {ref.provider}")
         series = self._series.get(ref)
         if series is None:

@@ -1,12 +1,10 @@
 import threading
-import time
 
 import pytest
 
 from conflux.broker import (
     Broker,
     ClosedQueueError,
-    OverflowPolicy,
     QueueConfig,
     QueueConfigConflict,
     SubscriberConflict,
@@ -126,29 +124,6 @@ def test_interleaved_publish_consume_keeps_fifo(broker):
         got.extend(t.attributes["seq"] for t in sub.receive_many(7, timeout=0.1))
     got.extend(t.attributes["seq"] for t in sub.drain())
     assert got == list(range(seq))
-
-
-def test_block_policy_blocks_until_consumed(broker):
-    q = broker.declare_queue(
-        QueueConfig(name="q", memory_capacity=5, overflow_policy=OverflowPolicy.BLOCK)
-    )
-    for i in range(5):
-        q.publish(_t(i))
-    published_extra = threading.Event()
-
-    def producer():
-        q.publish(_t(5))
-        published_extra.set()
-
-    thread = threading.Thread(target=producer, daemon=True)
-    thread.start()
-    time.sleep(0.05)
-    assert not published_extra.is_set()
-    sub = broker.subscribe(q)
-    assert sub.receive(timeout=1.0) is not None
-    assert published_extra.wait(timeout=1.0)
-    thread.join(timeout=1.0)
-    assert q.stats().published == 6
 
 
 def test_concurrent_publish_consume_no_loss(broker):

@@ -112,6 +112,20 @@ def test_ingest_csv(roots, tmp_path, capsys):
     store.close()
 
 
+def test_ingest_csv_non_finite_row_is_malformed(roots, tmp_path, capsys):
+    csv = tmp_path / "speed.csv"
+    csv.write_text("ts,v\n0,1.5\n1000,nan\n2000,2.5\n")
+    rc = main(
+        ["ingest", str(csv), "--provider", "influxdb", "--db", "d", "--series", "s",
+         "--max-bad", "0.5", "--store-root", str(roots)]
+    )
+    assert rc == 0
+    assert capsys.readouterr().out.strip() == "ingested 2 [1 malformed lines skipped]"
+    store = HistoricStore(roots)
+    assert store.count(SeriesRef("influxdb", "d", "s")) == 2
+    store.close()
+
+
 def test_ingest_too_many_bad_lines(roots, tmp_path, capsys):
     log = tmp_path / "bad.ndjson"
     _write_ndjson(log, _speed_tuples(2), junk=8)

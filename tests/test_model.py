@@ -11,11 +11,9 @@ from conflux.model import (
     StreamTuple,
     TimeUnit,
     TupleDecodeError,
-    bucket_of,
     decode_tuple,
     encode_tuple,
     is_numeric_value,
-    iter_tuple_lines,
     to_millis,
 )
 
@@ -52,12 +50,7 @@ def test_is_numeric_value():
 
 
 def test_interval_basic():
-    iv = Interval(10, 20)
-    assert iv.contains(10)
-    assert iv.contains(19)
-    assert not iv.contains(20)
-    assert iv.length == 10
-    assert iv.shifted(5) == Interval(15, 25)
+    assert Interval(10, 20).length == 10
 
 
 def test_interval_allows_negative_start():
@@ -70,16 +63,9 @@ def test_interval_rejects_inverted():
         Interval(5, 4)
 
 
-def test_bucket_of():
-    assert bucket_of(0, 60_000, 0) == Interval(0, 60_000)
-    assert bucket_of(59_999, 60_000, 0) == Interval(0, 60_000)
-    assert bucket_of(60_000, 60_000, 0) == Interval(60_000, 120_000)
-    assert bucket_of(90_000, 60_000, 30_000) == Interval(90_000, 150_000)
-
-
 def test_stream_tuple_validation():
     t = StreamTuple(timestamp=5, attributes={"v": 1.0}, source_id="a")
-    assert t.value("v") == 1.0
+    assert t.attributes["v"] == 1.0
     with pytest.raises(ValueError):
         StreamTuple(timestamp=-1, attributes={"v": 1.0})
     with pytest.raises(ValueError):
@@ -128,11 +114,6 @@ def test_decode_rejects_malformed():
     ):
         with pytest.raises(TupleDecodeError):
             decode_tuple(bad)
-
-
-def test_iter_tuple_lines_skips_blanks():
-    lines = ['{"ts":1,"src":"a","v":1}', "", "  ", '{"ts":2,"src":"a","v":2}']
-    assert [t.timestamp for t in iter_tuple_lines(lines)] == [1, 2]
 
 
 _attr_values = st.one_of(

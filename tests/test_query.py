@@ -18,7 +18,6 @@ from conflux.query import (
     WindowSpec,
     parse_query,
     render_query,
-    split_query_blocks,
     validate,
 )
 
@@ -163,13 +162,6 @@ def test_render_stream_only_elides_historic():
     text = render_query(spec)
     assert "database" not in text and "series" not in text
     assert "streaming rabbitmq queue q1" in text
-
-
-def test_split_query_blocks():
-    blob = NEUBOT_SPEED_MEAN + "\n\n" + NEUBOT_SPEED_MAX + "\n\n\n" + FASTEST_DOWNLOAD + "\n"
-    blocks = split_query_blocks(blob)
-    assert len(blocks) == 3
-    assert parse_query(blocks[2]) == parse_query(FASTEST_DOWNLOAD)
 
 
 # -- validation -------------------------------------------------------------

@@ -11,7 +11,6 @@ from conflux.runtime import (
     IncompleteWindowError,
     Operator,
     OperatorConfig,
-    Watermark,
     WindowResult,
     decode_result,
     encode_result,
@@ -78,14 +77,6 @@ def test_sliding_extent_is_shift_invariant():
 def test_trigger_before_anchor_rejected():
     with pytest.raises(ValueError):
         window_extent(SLIDING_10M, 99, 100)
-
-
-def test_watermark_never_retreats():
-    w = Watermark(50)
-    w.advance(60)
-    with pytest.raises(ValueError):
-        w.advance(59)
-    assert w.split == 60
 
 
 # -- hybrid evaluation ------------------------------------------------------
@@ -178,8 +169,11 @@ def test_result_json_round_trip():
         history_count=2,
         live_count=1,
     )
-    line = encode_result(r)
+    line = encode_result(result_to_tuple(r, "op"))
     doc = json.loads(line)
+    assert list(doc) == [
+        "trigger_ts", "win_start", "win_end", "count", "value", "hist_count", "live_count"
+    ]
     assert doc["trigger_ts"] == 120_000 and doc["count"] == 3
     assert decode_result(line) == r
     assert result_from_tuple(result_to_tuple(r, "op")) == r
@@ -190,14 +184,22 @@ def test_empty_result_omits_value():
         trigger_time=60_000, window=Interval(0, 60_000), count=0, value=None,
         history_count=0, live_count=0,
     )
-    assert "value" not in json.loads(encode_result(r))
-    assert decode_result(encode_result(r)) == r
+    line = encode_result(result_to_tuple(r, "op"))
+    assert list(json.loads(line)) == [
+        "trigger_ts", "win_start", "win_end", "count", "hist_count", "live_count"
+    ]
+    assert decode_result(line) == r
 
 
 def test_error_tuple_marked_and_typed():
     t = error_to_tuple(120_000, Interval(0, 30_000), "op")
     assert is_error_tuple(t)
-    assert t.attributes["uncovered_start"] == 0
+    assert list(json.loads(encode_result(t)).items()) == [
+        ("trigger_ts", 120_000),
+        ("error", "incomplete_window"),
+        ("uncovered_start", 0),
+        ("uncovered_end", 30_000),
+    ]
     r = result_to_tuple(
         WindowResult(60_000, Interval(0, 60_000), 0, None, 0, 0), "op"
     )
@@ -207,12 +209,12 @@ def test_error_tuple_marked_and_typed():
 # -- operator loop ----------------------------------------------------------
 
 
-def _operator(broker, clock, config, name="op", store=None, split_ms=None):
+def _operator(broker, clock, config, name="op", store=None):
     feed = broker.declare_queue(QueueConfig("feed"))
     sink = broker.declare_queue(QueueConfig("sink"))
     conn = store.open_connection(REF) if store is not None else None
     return (
-        Operator(name, config, broker.subscribe(feed), sink, conn, clock, split_ms=split_ms),
+        Operator(name, config, broker.subscribe(feed), sink, conn, clock),
         feed,
         broker.subscribe(sink),
     )
@@ -309,20 +311,19 @@ def test_late_tuples_dropped_and_counted(broker):
     assert op.admit(_t(5 * MIN, 1.0))
 
 
-def test_allowed_lateness_widens_admission(broker):
+def test_non_numeric_tuples_are_not_buffered(broker):
     clock = VirtualClock(0)
-    cfg = _config(
-        WindowSpec(WindowKind.SLIDING, 1, TimeUnit.MINUTES),
-        trigger_s=60,
-        allowed_lateness=30_000,
-    )
-    op, _, _ = _operator(broker, clock, cfg)
-    op.start()
-    clock.set_ms(2 * MIN)
+    cfg = _config(WindowSpec(WindowKind.SLIDING, 1, TimeUnit.MINUTES), trigger_s=60)
+    op, _, results = _operator(broker, clock, cfg)
+    op.start(duration_ms=MIN)
+    assert not op.admit(_t(1_000, "n/a"))
+    assert not op.admit(StreamTuple(timestamp=2_000, attributes={"w": 1.0}))
+    assert (op.metrics.non_numeric_skipped, op.metrics.buffered) == (2, 0)
+    assert op.admit(_t(3_000, 4.0))
+    clock.set_ms(MIN)
     op.step()
-    # Next window is [2min, 3min); lateness keeps [90s, ...) admissible.
-    assert op.admit(_t(90_000, 1.0))
-    assert not op.admit(_t(89_999, 1.0))
+    r = result_from_tuple(results.drain()[0])
+    assert (r.count, r.live_count, r.value) == (1, 1, 4.0)
 
 
 def test_buffer_evicted_after_firing(broker):
@@ -398,7 +399,7 @@ def test_two_virtual_runs_are_byte_identical(broker):
             feed.publish(t)
         op.step()
         return b"".join(
-            (encode_result(result_from_tuple(t)) + "\n").encode() for t in out.drain()
+            (encode_result(t) + "\n").encode() for t in out.drain()
         )
 
     assert run("a") == run("b")
