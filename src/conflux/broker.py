@@ -141,6 +141,7 @@ class Queue:
         """Enqueue one tuple; never blocks, spilling to disk past capacity."""
         with self._lock:
             self._publish_locked(t)
+            self._flush_locked()
             self._not_empty.notify()
 
     def publish_many(self, tuples: Sequence[StreamTuple]) -> None:
@@ -148,11 +149,13 @@ class Queue:
         if not tuples:
             return
         with self._lock:
-            for t in tuples:
-                self._publish_locked(t)
-            if self._segments:
-                self._segments[-1].flush()
-            self._not_empty.notify()
+            try:
+                for t in tuples:
+                    self._publish_locked(t)
+            finally:
+                # Tuples spilled before a failing one are counted on disk.
+                self._flush_locked()
+                self._not_empty.notify()
 
     def _publish_locked(self, t: StreamTuple) -> None:
         if self._closed:
@@ -172,11 +175,14 @@ class Queue:
             seg = _Segment(self._spill_dir / f"{self._next_segment:06d}.ndjson")
             self._next_segment += 1
             self._segments.append(seg)
-        seg = self._segments[-1]
-        seg.append(encode_tuple(t))
-        seg.flush()
+        self._segments[-1].append(encode_tuple(t))
         self._on_disk += 1
         self._spilled += 1
+
+    def _flush_locked(self) -> None:
+        """Make spilled tuples readable; once per publish call, not per tuple."""
+        if self._segments:
+            self._segments[-1].flush()
 
     # -- consuming --------------------------------------------------------
 

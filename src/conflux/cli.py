@@ -14,16 +14,19 @@ CONFLUX_SPILL_ROOT.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import logging
 import math
 import os
 import re
+import shutil
 import sys
 import tempfile
 import threading
 from pathlib import Path
+from typing import Iterator
 
 from .broker import Broker, BrokerError
 from .clock import SystemClock, VirtualClock
@@ -69,11 +72,18 @@ def _store_root(args) -> Path | None:
     return Path(root) if root else None
 
 
-def _spill_root(args) -> Path:
+@contextlib.contextmanager
+def _broker(args) -> Iterator[Broker]:
+    """A broker that is shut down on exit; a spill root it made itself is removed."""
     root = getattr(args, "spill_root", None) or os.environ.get("CONFLUX_SPILL_ROOT")
-    if root:
-        return Path(root)
-    return Path(tempfile.mkdtemp(prefix="conflux-spill-"))
+    made = None if root else tempfile.mkdtemp(prefix="conflux-spill-")
+    broker = Broker(root or made)
+    try:
+        yield broker
+    finally:
+        broker.shutdown()
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
 
 
 # -- ingest -----------------------------------------------------------------
@@ -214,11 +224,11 @@ def cmd_query(args) -> int:
         if args.explain:
             print(the_plan.to_json())
             return EXIT_OK
-        broker = Broker(_spill_root(args))
         duration_ms = parse_duration_ms(args.duration) if args.duration else None
-        if args.clock == "virtual":
-            return _run_query_virtual(args, spec, the_plan, store, broker, duration_ms)
-        return _run_query_real(args, spec, the_plan, store, broker, duration_ms)
+        with _broker(args) as broker:
+            if args.clock == "virtual":
+                return _run_query_virtual(args, spec, the_plan, store, broker, duration_ms)
+            return _run_query_real(args, spec, the_plan, store, broker, duration_ms)
     finally:
         store.close()
 
@@ -318,12 +328,9 @@ def cmd_replay(args) -> int:
     path = Path(args.file)
     if not path.is_file():
         raise CliError(f"no such file: {path}")
-    broker = Broker(_spill_root(args))
-    try:
+    with _broker(args) as broker:
         report = replay_log(path, broker, args.queue, speed=args.speed)
         print(json.dumps({"published": report.published, "skipped": report.skipped}))
-    finally:
-        broker.shutdown()
     return EXIT_OK
 
 
@@ -381,12 +388,9 @@ def cmd_bench(args) -> int:
     combos = _matrix_combos(base, args.matrix or [])
     reports = []
     for cfg in combos:
-        broker = Broker(_spill_root(args))
-        try:
+        with _broker(args) as broker:
             clock = VirtualClock() if args.clock == "virtual" else SystemClock()
             report = run_farm(cfg, broker, clock=clock)
-        finally:
-            broker.shutdown()
         reports.append(report)
         print(report.to_json())
     if args.json_out:

@@ -226,9 +226,16 @@ def decode_result(line: str) -> WindowResult:
 
 @dataclass
 class OperatorMetrics:
+    """Counters; every tuple in is buffered, late, behind the watermark or non-numeric.
+
+    ``behind_watermark`` counts live tuples older than the split of an
+    operator with a historic source, whose store already answers that time.
+    """
+
     tuples_in: int = 0
     results_emitted: int = 0
     late_dropped: int = 0
+    behind_watermark: int = 0
     non_numeric_skipped: int = 0
     incomplete_windows: int = 0
     max_trigger_lag_ms: int = 0
@@ -323,10 +330,13 @@ class Operator:
         return window_extent(self.config.window, self._next_trigger, self.anchor).start
 
     def admit(self, t: StreamTuple) -> bool:
-        """Buffer a tuple unless it is late or carries no numeric attribute value."""
+        """Buffer a tuple unless it is late, behind the watermark or not numeric."""
         self.metrics.tuples_in += 1
         if t.timestamp < self._admission_bound():
             self.metrics.late_dropped += 1
+            return False
+        if self.historic is not None and t.timestamp < self.split:
+            self.metrics.behind_watermark += 1
             return False
         if not is_numeric_value(t.attributes.get(self.config.attribute)):
             self.metrics.non_numeric_skipped += 1

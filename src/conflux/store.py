@@ -6,13 +6,30 @@ client implementations are a plug point, not included. A series must be
 registered before ingest or query.
 
 Storage is one directory per series holding append-only NDJSON segments;
-the time index is rebuilt in memory on open. A store opened with
-``root=None`` keeps everything in memory, which is convenient for tests.
+the in-memory columns are rebuilt from them on open, and a line that does
+not decode (a torn write) is skipped and counted in ``bad_lines``. A store
+opened with ``root=None`` keeps everything in memory, which is convenient
+for tests.
+
+In memory a series is columnar (after Gorilla, Pelkonen et al., VLDB 2015):
+per attribute, a time-sorted ``array('q')`` of timestamps with an
+``array('d')`` of the numeric values, plus an ``array('q')`` of the
+timestamps where the attribute is present but not numeric. No per-tuple
+objects are kept apart from the exact deduplication key. Each column has a
+block index: (sum, min, max) of every full block of BLOCK values. Ingest
+only appends, which leaves the index stale; the next query of the column
+sorts it (stably, so equal timestamps keep ingest order) if an append
+arrived out of order, and rebuilds the summaries.
 
 Grouped queries bucket the series by time, with bucket origin anchored at
 the query start so history buckets line up with whatever window the caller
 is assembling. Every bucket intersecting [start, end) yields a row, empty
-ones included; the last bucket is clipped at the query end.
+ones included; the last bucket is clipped at the query end. A bucket's index
+range is found by bisection and answered from the summaries of the full
+blocks inside it plus the two partial edge blocks, so its cost grows with
+n / BLOCK + BLOCK, not with n. Sums are added block by block, never
+differenced from prefix sums, which would cancel badly on mixed-sign values;
+a mean can therefore differ from a sequential sum in the last digits.
 
 Concurrency: ingest takes the store lock exclusively; queries of registered
 series may run from several threads. Connection handles must not be shared
@@ -23,12 +40,14 @@ from __future__ import annotations
 
 import logging
 import threading
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 from .model import (
+    MAX_MILLIS,
     AggregateRow,
     StreamTuple,
     TimeUnit,
@@ -45,6 +64,11 @@ logger = logging.getLogger(__name__)
 KNOWN_PROVIDERS = ("influxdb", "cassandra")
 
 SEGMENT_MAX_TUPLES = 100_000
+
+# Values per summary block. A range query reads O(n / BLOCK) summaries plus
+# at most 2 * BLOCK edge values, so about sqrt(n / 2) is the cheapest size
+# for the ~10^5-tuple histories the store is built for.
+BLOCK = 256
 
 
 class StoreError(RuntimeError):
@@ -110,48 +134,120 @@ class SeriesDiagnostics:
     tuples: int
     duplicates_ignored: int
     non_numeric_skipped: int
+    bad_lines: int
+
+
+class _Column:
+    """One attribute of a series: numeric values by time, plus block summaries.
+
+    ``ts``/``values`` hold the numeric occurrences and ``other_ts`` the
+    timestamps where the attribute is present but not numeric (or an int
+    too large for a float). ``sums``,
+    ``mins`` and ``maxs`` summarize each full block of BLOCK values as of
+    the series holding ``indexed`` tuples.
+    """
+
+    __slots__ = ("ts", "values", "other_ts", "indexed", "sums", "mins", "maxs")
+
+    def __init__(self) -> None:
+        self.ts = array("q")
+        self.values = array("d")
+        self.other_ts = array("q")
+        self.indexed = 0
+        self.sums = self.mins = self.maxs = array("d")
+
+    def refresh(self, series: "_Series") -> None:
+        """Bring the block index up to date with every tuple the series holds."""
+        if self.indexed == series.count:
+            return
+        if series.disordered > self.indexed:
+            # Stable, so equal timestamps keep ingest order.
+            order = sorted(range(len(self.ts)), key=self.ts.__getitem__)
+            self.ts = array("q", [self.ts[i] for i in order])
+            self.values = array("d", [self.values[i] for i in order])
+            self.other_ts = array("q", sorted(self.other_ts))
+        v = self.values
+        blocks = [v[i : i + BLOCK] for i in range(0, len(v) - len(v) % BLOCK, BLOCK)]
+        self.sums = array("d", map(sum, blocks))
+        self.mins = array("d", map(min, blocks))
+        self.maxs = array("d", map(max, blocks))
+        self.indexed = series.count
+
+    def reduce(self, function: AggregationFunction, lo: int, hi: int) -> float:
+        """Sum (for mean) or extremum of values[lo:hi], which must be non-empty.
+
+        Full blocks inside the range are read from their summaries; only the
+        two partial edge blocks are read value by value.
+        """
+        if function is AggregationFunction.MEAN:
+            fold, summary = sum, self.sums
+        elif function is AggregationFunction.MIN:
+            fold, summary = min, self.mins
+        else:
+            fold, summary = max, self.maxs
+        v = self.values
+        first = -(-lo // BLOCK)
+        last = hi // BLOCK
+        if first >= last:
+            return fold(v[lo:hi])
+        parts = (v[lo : first * BLOCK], summary[first:last], v[last * BLOCK : hi])
+        return fold(fold(p) for p in parts if p)
 
 
 class _Series:
-    """In-memory state for one registered series."""
+    """In-memory state for one registered series: one column per attribute.
+
+    ``disordered`` is the ``count`` just after the latest tuple that arrived
+    with a timestamp below ``max_ts``; a column indexed before that must be
+    re-sorted.
+    """
 
     def __init__(self, directory: Path | None):
         self.directory = directory
-        self.tuples: list[StreamTuple] = []
-        self.ts: list[int] = []
-        self.sorted = True
+        self.columns: dict[str, _Column] = {}
+        self.count = 0
+        self.min_ts = MAX_MILLIS
+        self.max_ts = -1
+        self.disordered = 0
         self.seen: set[tuple] = set()
-        self.numeric_attrs: set[str] = set()
-        self.attrs: set[str] = set()
         self.duplicates_ignored = 0
         self.non_numeric_skipped = 0
+        self.bad_lines = 0
         self.segment_lines = 0
         self.segment_index = 0
         self.writer = None
 
     def add(self, t: StreamTuple) -> bool:
-        """Index a tuple; False when it duplicates an earlier one."""
-        key = (t.timestamp, t.source_id, tuple(sorted(t.attributes.items())))
+        """Append a tuple to its columns; False when it duplicates an earlier one."""
+        ts = t.timestamp
+        key = (ts, t.source_id, tuple(sorted(t.attributes.items())))
         if key in self.seen:
             self.duplicates_ignored += 1
             return False
         self.seen.add(key)
-        if self.sorted and self.ts and t.timestamp < self.ts[-1]:
-            self.sorted = False
-        self.tuples.append(t)
-        self.ts.append(t.timestamp)
+        columns = self.columns
         for name, value in t.attributes.items():
-            self.attrs.add(name)
+            column = columns.get(name)
+            if column is None:
+                column = columns[name] = _Column()
             if is_numeric_value(value):
-                self.numeric_attrs.add(name)
+                try:
+                    column.values.append(value)
+                except OverflowError:
+                    # An int beyond the float range cannot be aggregated.
+                    column.other_ts.append(ts)
+                    continue
+                column.ts.append(ts)
+            else:
+                column.other_ts.append(ts)
+        self.count += 1
+        if ts < self.max_ts:
+            self.disordered = self.count
+        else:
+            self.max_ts = ts
+        if ts < self.min_ts:
+            self.min_ts = ts
         return True
-
-    def ensure_sorted(self) -> None:
-        if not self.sorted:
-            # Stable, so equal timestamps keep ingest order.
-            self.tuples.sort(key=lambda t: t.timestamp)
-            self.ts = [t.timestamp for t in self.tuples]
-            self.sorted = True
 
     def close_writer(self) -> None:
         if self.writer is not None:
@@ -196,11 +292,12 @@ class HistoricStore:
                     try:
                         series.add(decode_tuple(line))
                     except TupleDecodeError as exc:
+                        series.bad_lines += 1
                         logger.warning("skipping bad line in %s: %s", path, exc)
         if segments:
             last = segments[-1]
             series.segment_index = int(last.stem) + 1
-        logger.debug("loaded %d tuples from %s", len(series.tuples), directory)
+        logger.debug("loaded %d tuples from %s", series.count, directory)
 
     def flush(self) -> None:
         with self._lock:
@@ -252,31 +349,31 @@ class HistoricStore:
     def attributes(self, ref: SeriesRef) -> frozenset[str]:
         with self._lock:
             self._check_open()
-            return frozenset(self._get(ref).attrs)
+            return frozenset(self._get(ref).columns)
 
     def count(self, ref: SeriesRef) -> int:
         with self._lock:
             self._check_open()
-            return len(self._get(ref).tuples)
+            return self._get(ref).count
 
     def time_range(self, ref: SeriesRef) -> tuple[int, int] | None:
         """(min, max) tuple timestamp of a series, or None when empty."""
         with self._lock:
             self._check_open()
             series = self._get(ref)
-            if not series.tuples:
+            if not series.count:
                 return None
-            series.ensure_sorted()
-            return (series.ts[0], series.ts[-1])
+            return (series.min_ts, series.max_ts)
 
     def diagnostics(self, ref: SeriesRef) -> SeriesDiagnostics:
         with self._lock:
             self._check_open()
             series = self._get(ref)
             return SeriesDiagnostics(
-                tuples=len(series.tuples),
+                tuples=series.count,
                 duplicates_ignored=series.duplicates_ignored,
                 non_numeric_skipped=series.non_numeric_skipped,
+                bad_lines=series.bad_lines,
             )
 
     # -- ingest -----------------------------------------------------------
@@ -316,7 +413,8 @@ class HistoricStore:
         with self._lock:
             self._check_open()
             series = self._get(ref)
-            if series.tuples and q.value not in series.numeric_attrs:
+            column = series.columns.get(q.value)
+            if series.count and (column is None or not column.values):
                 raise AttributeTypeError(
                     f"attribute {q.value!r} is never numeric in series {ref.label}"
                 )
@@ -325,43 +423,27 @@ class HistoricStore:
             if span <= 0:
                 return []
             nbuckets = (span + width - 1) // width
-            counts = [0] * nbuckets
-            accs = [0.0] * nbuckets
-            series.ensure_sorted()
-            lo = bisect_left(series.ts, q.start)
-            hi = bisect_left(series.ts, q.end)
+            if column is None:
+                return [AggregateRow(q.start + k * width, 0.0, None) for k in range(nbuckets)]
+            column.refresh(series)
+            other = column.other_ts
+            series.non_numeric_skipped += bisect_left(other, q.end) - bisect_left(other, q.start)
+            ts = column.ts
             mean = q.function is AggregationFunction.MEAN
-            use_min = q.function is AggregationFunction.MIN
-            skipped = 0
-            for i in range(lo, hi):
-                t = series.tuples[i]
-                v = t.attributes.get(q.value)
-                if not is_numeric_value(v):
-                    if v is not None:
-                        skipped += 1
-                    continue
-                k = (t.timestamp - q.start) // width
-                if mean:
-                    accs[k] += v
-                elif counts[k] == 0:
-                    accs[k] = v
-                elif use_min:
-                    if v < accs[k]:
-                        accs[k] = v
-                elif v > accs[k]:
-                    accs[k] = v
-                counts[k] += 1
-            series.non_numeric_skipped += skipped
             rows = []
+            lo = bisect_left(ts, q.start)
             for k in range(nbuckets):
-                n = counts[k]
+                bucket_start = q.start + k * width
+                hi = bisect_left(ts, min(bucket_start + width, q.end), lo)
+                n = hi - lo
                 if n == 0:
                     result = None
                 elif mean:
-                    result = accs[k] / n
+                    result = column.reduce(q.function, lo, hi) / n
                 else:
-                    result = accs[k]
-                rows.append(AggregateRow(q.start + k * width, float(n), result))
+                    result = column.reduce(q.function, lo, hi)
+                rows.append(AggregateRow(bucket_start, float(n), result))
+                lo = hi
             return rows
 
     def open_connection(self, ref: SeriesRef) -> "Connection":

@@ -2,6 +2,7 @@ import threading
 
 import pytest
 
+from conflux import broker as broker_module
 from conflux.broker import (
     Broker,
     ClosedQueueError,
@@ -85,6 +86,33 @@ def test_spill_preserves_order_and_counts(broker):
     stats = q.stats()
     assert stats.delivered == n
     assert stats.in_memory == 0 and stats.on_disk == 0
+
+
+def test_spill_flushes_once_per_publish_call(broker, monkeypatch):
+    monkeypatch.setattr(broker_module, "SEGMENT_MAX_TUPLES", 7)
+    flushes = []
+    flush = broker_module._Segment.flush
+
+    def counting_flush(self):
+        flushes.append(self.path.name)
+        flush(self)
+
+    monkeypatch.setattr(broker_module._Segment, "flush", counting_flush)
+    q = broker.declare_queue(QueueConfig(name="q", memory_capacity=5))
+    sub = broker.subscribe(q)
+    got = []
+    for b in range(4):
+        q.publish_many([_t(i) for i in range(b * 20, b * 20 + 20)])
+        got += [t.attributes["seq"] for t in sub.receive_many(9, timeout=0)]
+        stats = q.stats()
+        assert stats.published == stats.delivered + stats.in_memory + stats.on_disk
+    q.publish(_t(80))
+    got += [t.attributes["seq"] for t in sub.drain()]
+    assert got == list(range(81))
+    spilled = q.stats().spilled
+    assert spilled > 40
+    # One flush per publish call plus one per segment rolled over.
+    assert len(flushes) <= 5 + spilled // 7
 
 
 def test_spill_files_removed_after_consumption(broker, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import tempfile
 
 import pytest
 
@@ -209,6 +210,24 @@ def test_replay_subcommand_reports_counts(roots, tmp_path, capsys):
     assert main(["replay", str(log), "--queue", "q1"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc == {"published": 30, "skipped": 1}
+
+
+def test_spill_root_removed_only_when_made_by_the_cli(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("CONFLUX_STORE_ROOT", raising=False)
+    monkeypatch.delenv("CONFLUX_SPILL_ROOT", raising=False)
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    log = tmp_path / "live.ndjson"
+    _write_ndjson(log, _speed_tuples(240))
+    out = tmp_path / "results.ndjson"
+    assert main(["query", Q_STREAM, "--replay", str(log), "--output", str(out)]) == 0
+    assert main(["replay", str(log), "--queue", "q1"]) == 0
+    assert list(scratch.glob("conflux-spill-*")) == []
+    given = tmp_path / "given"
+    given.mkdir()
+    assert main(["replay", str(log), "--queue", "q1", "--spill-root", str(given)]) == 0
+    assert given.is_dir()
 
 
 def test_replay_missing_file(roots, capsys):

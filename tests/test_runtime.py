@@ -355,6 +355,30 @@ def test_operator_uses_history_before_start(broker, mem_store):
     op.close()
 
 
+def test_behind_watermark_counted_not_buffered(broker, mem_store):
+    mem_store.register_series(REF)
+    mem_store.ingest(REF, [_t(0, 2.0)])
+    clock = VirtualClock(60_000)
+    cfg = _config(WindowSpec(WindowKind.SLIDING, 2, TimeUnit.MINUTES), trigger_s=60)
+    op, _, _ = _operator(broker, clock, cfg, store=mem_store)
+    op.start()
+    # Inside the next window, so not late, but the store answers before 60 s.
+    assert not op.admit(_t(30_000, 5.0))
+    m = op.metrics
+    assert (m.tuples_in, m.behind_watermark, m.buffered) == (1, 1, 0)
+    assert (m.late_dropped, m.non_numeric_skipped, m.results_emitted) == (0, 0, 0)
+    op.close()
+
+
+def test_live_only_operator_buffers_tuples_before_start(broker):
+    clock = VirtualClock(60_000)
+    cfg = _config(WindowSpec(WindowKind.SLIDING, 2, TimeUnit.MINUTES), trigger_s=60)
+    op, _, _ = _operator(broker, clock, cfg)
+    op.start()
+    assert op.admit(_t(30_000, 5.0))
+    assert (op.metrics.behind_watermark, op.metrics.buffered) == (0, 1)
+
+
 def test_incomplete_window_emits_error_record(broker):
     clock = VirtualClock(1_000_000)
     cfg = _config(

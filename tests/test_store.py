@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conflux import store as store_module
 from conflux.model import StreamTuple, TimeUnit
 from conflux.query import AggregationFunction
 from conflux.store import (
@@ -126,6 +127,14 @@ def test_sometimes_numeric_attribute_skips_and_counts(store):
     assert store.diagnostics(REF).non_numeric_skipped == 1
 
 
+def test_int_beyond_float_range_is_skipped_as_non_numeric(store):
+    store.ingest(REF, [_t(0, 1.0), _t(1_000, 10**400), _t(2_000, 3)])
+    rows = store.query_to_historic(REF, _q(AggregationFunction.MEAN, 0, 60_000, 1))
+    assert (rows[0].count, rows[0].result) == (2.0, 2.0)
+    assert store.diagnostics(REF).non_numeric_skipped == 1
+    assert store.count(REF) == 3
+
+
 def test_counts_sum_to_numeric_tuples_in_range(store):
     rng = random.Random(7)
     tuples = [_t(rng.randrange(0, 600_000), float(i), src=str(i)) for i in range(300)]
@@ -192,6 +201,21 @@ def test_durability_reopen_identical(tmp_path):
     s2.close()
 
 
+def test_torn_segment_line_is_counted(tmp_path):
+    root = tmp_path / "root"
+    s = HistoricStore(root)
+    s.register_series(REF)
+    s.ingest(REF, [_t(0, 1.0), _t(1_000, 2.0), _t(2_000, 3.0)])
+    s.close()
+    (segment,) = (root / REF.provider / REF.database / REF.series).glob("*.ndjson")
+    segment.write_bytes(segment.read_bytes()[:-6])
+    s2 = HistoricStore(root)
+    d = s2.diagnostics(REF)
+    assert (d.tuples, d.bad_lines) == (2, 1)
+    assert s2.time_range(REF) == (0, 1_000)
+    s2.close()
+
+
 def test_attributes_and_time_range(store):
     assert store.time_range(REF) is None
     store.ingest(REF, [StreamTuple(timestamp=5, attributes={"v": 1.0, "w": "x"}, source_id="")])
@@ -236,3 +260,79 @@ def test_query_matches_scan_oracle(fn, data):
         else:
             assert got.result == result
     store.close()
+
+
+# -- block index against the scan oracle --------------------------------------
+
+
+def _mixed_tuples(rng: random.Random, n: int, horizon: int, src: str) -> list[StreamTuple]:
+    """Unsorted tuples whose "v" is an int, a float, a string or absent."""
+    tuples = []
+    for i in range(n):
+        attrs = {"w": 1.0}
+        kind = rng.randrange(4)
+        if kind == 0:
+            attrs["v"] = rng.randint(-50, 50)
+        elif kind == 1:
+            attrs["v"] = rng.uniform(-1e3, 1e3)
+        elif kind == 2:
+            attrs["v"] = rng.choice(["slow", "n/a"])
+        tuples.append(StreamTuple(rng.randrange(0, horizon, 500), attrs, f"{src}{i}"))
+    return tuples
+
+
+def _check_against_oracle(s, tuples, queries):
+    all_rows = []
+    for fn, start, end, width_s in queries:
+        skipped = s.diagnostics(REF).non_numeric_skipped
+        rows = s.query_to_historic(REF, _q(fn, start, end, width_s, unit=TimeUnit.SECONDS))
+        want = scan_group_rows(tuples, fn, "v", start, end, width_s * 1000)
+        assert [(r.bucket_start, r.count) for r in rows] == [(b, c) for b, c, _ in want]
+        for got, (_, _, result) in zip(rows, want):
+            if fn is AggregationFunction.MEAN:
+                assert close(got.result, result)
+            else:
+                assert got.result == result
+        strings = sum(
+            1
+            for t in tuples
+            if start <= t.timestamp < end and isinstance(t.attributes.get("v"), str)
+        )
+        assert s.diagnostics(REF).non_numeric_skipped - skipped == strings
+        all_rows.append(rows)
+    return all_rows
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_block_index_matches_scan_oracle(seed, tmp_path, monkeypatch):
+    # Small blocks, so bucket ranges span full blocks plus both partial edges.
+    monkeypatch.setattr(store_module, "BLOCK", 4)
+    rng = random.Random(seed)
+    horizon = 200_000
+    first = _mixed_tuples(rng, 150, horizon, "a")
+    second = _mixed_tuples(rng, 60, horizon, "b")
+    queries = [(fn, 0, horizon, 200) for fn in AggregationFunction]
+    for _ in range(30):
+        # On the tuples' 500 ms grid, so bucket bounds hit equal timestamps.
+        start = rng.randrange(0, horizon, 500)
+        queries.append(
+            (
+                rng.choice(list(AggregationFunction)),
+                start,
+                rng.randrange(start, horizon + 60_000, 500),
+                rng.randint(1, 90),
+            )
+        )
+    root = tmp_path / "root"
+    s = HistoricStore(root)
+    s.register_series(REF)
+    s.ingest(REF, first)
+    _check_against_oracle(s, first, queries)
+    # Interleaves with the first batch, after queries have built the index.
+    s.ingest(REF, second)
+    rows = _check_against_oracle(s, first + second, queries)
+    assert s.count(REF) == 210
+    s.close()
+    reopened = HistoricStore(root)
+    assert _check_against_oracle(reopened, first + second, queries) == rows
+    reopened.close()
