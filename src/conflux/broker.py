@@ -229,10 +229,6 @@ class Queue:
             self._closed = True
             self._not_empty.notify_all()
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def _destroy(self) -> None:
         with self._lock:
             self._closed = True
@@ -293,10 +289,6 @@ class Subscription:
             self._open = False
             with self._queue._lock:
                 self._queue._subscribed = False
-
-    @property
-    def queue_name(self) -> str:
-        return self._queue.name
 
 
 class Broker:

@@ -265,8 +265,12 @@ def _run_query_virtual(args, spec, the_plan, store, broker, duration_ms) -> int:
     )
     if pipeline.state is PipelineState.FAILED:
         raise CliError(f"pipeline failed to start: {pipeline.cause}")
-    run_virtual(pipeline, clock, feed)
-    pipeline.stop()
+    try:
+        run_virtual(pipeline, clock, feed)
+    except Exception:
+        if pipeline.state is not PipelineState.FAILED:
+            raise
+    _stop_or_fail(pipeline)
     n = _write_results(pipeline, broker, args)
     logger.info("emitted %d results", n)
     return EXIT_OK
@@ -292,9 +296,15 @@ def _run_query_real(args, spec, the_plan, store, broker, duration_ms) -> int:
             SystemClock().sleep_ms(50)
     if feeder is not None:
         feeder.join(timeout=5.0)
-    pipeline.stop()
+    _stop_or_fail(pipeline)
     _write_results(pipeline, broker, args)
     return EXIT_OK
+
+
+def _stop_or_fail(pipeline) -> None:
+    """Stop the pipeline; a stage failure becomes a runtime error."""
+    if pipeline.stop().state is PipelineState.FAILED:
+        raise CliError(f"pipeline failed: {pipeline.cause}")
 
 
 def cmd_explain(args) -> int:

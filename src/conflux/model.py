@@ -65,8 +65,14 @@ def to_millis(n: int, unit: TimeUnit) -> int:
 
 
 def is_numeric_value(v: Value) -> bool:
-    """True for values aggregation functions accept (int/float, not bool)."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """True for values aggregation functions accept: an int (not bool) or a
+    float that converts to a finite float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 @dataclass(frozen=True)

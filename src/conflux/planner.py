@@ -9,8 +9,11 @@ queue's only consumer slot.
 
 Plan ids hash the canonical query text, so planning the same query twice
 yields the same id, queue names and JSON rendering. Planning is pure; the
-launcher owns every thread it starts and rolls partially started pipelines
-back to nothing.
+launcher rolls partially started pipelines back to nothing.
+
+On either clock a pipeline runs by ``Pipeline.pump``, one step of every
+stage: the caller pumps on a virtual clock, one driver thread per pipeline on
+a real clock. A stage that raises fails the pipeline, with the error as cause.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import hashlib
 import json
 import logging
 import threading
-import time
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,6 +33,9 @@ from .runtime import Operator, OperatorConfig
 from .store import HistoricStore, SeriesRef
 
 logger = logging.getLogger(__name__)
+
+# Longest a real-clock driver sleeps before it pumps newly arrived tuples.
+POLL_S = 0.1
 
 
 class PlanError(ValueError):
@@ -234,24 +239,12 @@ class _FetchRunner:
             self.tuples_out += len(batch)
         return len(batch)
 
-    def run(self, stop: threading.Event) -> None:
-        while not stop.is_set():
-            t = self.subscription.receive(timeout=0.1)
-            if t is None:
-                continue
-            batch = [t] + self.subscription.drain()
-            self.tuples_in += len(batch)
-            for queue in self.outputs:
-                queue.publish_many(batch)
-                self.tuples_out += len(batch)
-        self.step()
-
     def close(self) -> None:
         self.subscription.close()
 
 
 class Pipeline:
-    """A launched plan: owns subscriptions, connections and stage threads."""
+    """A launched plan: owns subscriptions, connections and its driver thread."""
 
     def __init__(
         self,
@@ -271,7 +264,7 @@ class Pipeline:
         self.operators: list[Operator] = []
         self._fetch: _FetchRunner | None = None
         self._created_queues: list[str] = []
-        self._threads: list[threading.Thread] = []
+        self._driver: threading.Thread | None = None
         self._stop = threading.Event()
         self._lock = threading.Lock()
 
@@ -296,23 +289,12 @@ class Pipeline:
             return self
         for op in self.operators:
             op.start(self.duration_ms)
-        if threaded:
-            if self._fetch is not None:
-                t = threading.Thread(
-                    target=self._fetch.run, args=(self._stop,), name="fetch", daemon=True
-                )
-                self._threads.append(t)
-            for op in self.operators:
-                t = threading.Thread(
-                    target=op.run,
-                    kwargs={"stop_event": self._stop},
-                    name=op.name,
-                    daemon=True,
-                )
-                self._threads.append(t)
-            for t in self._threads:
-                t.start()
         self.state = PipelineState.RUNNING
+        if threaded:
+            self._driver = threading.Thread(
+                target=self._drive, name=f"pipeline-{self.plan.id}", daemon=True
+            )
+            self._driver.start()
         return self
 
     def _wire(self) -> None:
@@ -353,20 +335,54 @@ class Pipeline:
             self.broker.delete_queue(name)
         self._created_queues = []
 
-    # -- virtual driving --------------------------------------------------
+    # -- driving ----------------------------------------------------------
 
     def pump(self) -> int:
-        """One co-operative pass over all stages; returns how much moved."""
+        """One co-operative pass over all stages; returns how much moved.
+
+        A stage that raises fails the pipeline: the state becomes FAILED
+        with the error as its cause, every operator stops, and the error
+        propagates to the caller.
+        """
         moved = 0
-        if self._fetch is not None:
-            moved += self._fetch.step()
-        for op in self.operators:
-            moved += op.step()
+        try:
+            if self._fetch is not None:
+                moved += self._fetch.step()
+            for op in self.operators:
+                moved += op.step()
+        except Exception as exc:
+            self.state = PipelineState.FAILED
+            self.cause = f"{type(exc).__name__}: {exc}"
+            for op in self.operators:
+                op.stop(self.cause)
+            raise
         return moved
 
     def pump_until_quiet(self) -> None:
         while self.pump():
             pass
+
+    def _pump_logged(self) -> None:
+        """``pump_until_quiet`` that logs a stage failure instead of raising it."""
+        try:
+            self.pump_until_quiet()
+        except Exception:
+            logger.exception("pipeline %s failed", self.plan.id)
+
+    def _drive(self) -> None:
+        """Real-clock driver: pump, then sleep until a trigger is due or POLL_S passes.
+
+        A trigger's pump drains the fetch queues first, so every tuple
+        published before a trigger is admitted before it fires. Ends after
+        the pump that follows ``stop``, or once every operator has finished.
+        """
+        while True:
+            self._pump_logged()
+            pending = [op.next_trigger_ms for op in self.operators if not op.finished]
+            if self._stop.is_set() or not pending:
+                return
+            wait_s = (min(pending) - self.clock.now_ms()) / 1000.0
+            self._stop.wait(min(max(wait_s, 0.0), POLL_S))
 
     # -- monitoring -------------------------------------------------------
 
@@ -412,35 +428,25 @@ class Pipeline:
 
     # -- shutdown ---------------------------------------------------------
 
-    def _quiesced(self) -> bool:
-        names = [self.plan.source_queue] if self.plan.source_queue else []
-        names += [op.fetch.queue_name for op in self.operators]
-        for name in names:
-            if not self.broker.has_queue(name):
-                continue
-            stats = self.broker.stats(name)
-            if stats.in_memory or stats.on_disk:
-                return False
-        return True
-
     def stop(self, drain_timeout_s: float = 10.0) -> PipelineStatus:
-        """Graceful stop: wait for in-flight tuples to drain, then halt stages."""
+        """Graceful stop: a last pump (by the driver thread, if there is one,
+        within ``drain_timeout_s``), then every subscription and connection is
+        closed. A failed pipeline keeps FAILED and its cause but is closed too,
+        which frees the source queue's consumer slot for the next launch.
+        """
         with self._lock:
             if self.state is PipelineState.RUNNING:
-                if self._threads:
-                    deadline = time.monotonic() + drain_timeout_s
-                    while not self._quiesced() and time.monotonic() < deadline:
-                        time.sleep(0.02)
-                else:
-                    self.pump_until_quiet()
                 self._stop.set()
-                for t in self._threads:
-                    t.join(timeout=drain_timeout_s)
-                if self._fetch is not None:
-                    self._fetch.close()
-                for op in self.operators:
-                    op.close()
-                self.state = PipelineState.STOPPED
+                if self._driver is None:
+                    self._pump_logged()
+                else:
+                    self._driver.join(timeout=drain_timeout_s)
+                if self.state is PipelineState.RUNNING:
+                    self.state = PipelineState.STOPPED
+            if self._fetch is not None:
+                self._fetch.close()
+            for op in self.operators:
+                op.close()
             return self.status()
 
 
@@ -472,7 +478,7 @@ def run_virtual(
     """
     if pipeline.state is not PipelineState.RUNNING:
         raise PlanError(f"pipeline is {pipeline.state.value}, not running")
-    if pipeline._threads:
+    if pipeline._driver is not None:
         raise PlanError("run_virtual needs a pipeline launched with threaded=False")
     feed = list(feed or [])
     source_name = pipeline.plan.source_queue

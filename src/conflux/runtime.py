@@ -15,18 +15,16 @@ Window strategies:
 Tumbling windows are sliding windows with duration equal to the trigger
 period; the planner normalizes them, so no third kind exists here.
 
-Each operator instance is single-threaded: one loop drains its fetch
-subscription, admits tuples to the buffer, fires due triggers and emits
-results to its sink queue. Operators interact only through broker queues.
-``step`` exposes one co-operative iteration of that loop for virtual-clock
-drivers; ``run`` wraps it in a real-time wait loop.
+An operator is driven, never threaded itself: each ``step`` drains its
+fetch subscription, admits tuples to the buffer, fires due triggers and
+emits results to its sink queue. The pipeline that owns it calls ``step``
+on either clock. Operators interact only through broker queues.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import threading
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 
@@ -294,10 +292,6 @@ class Operator:
         )
 
     @property
-    def started(self) -> bool:
-        return self._started
-
-    @property
     def next_trigger_ms(self) -> int:
         return self._next_trigger
 
@@ -404,28 +398,3 @@ class Operator:
             self._evict()
             moved += 1
         return moved
-
-    def run(
-        self,
-        duration_ms: int | None = None,
-        stop_event: threading.Event | None = None,
-    ) -> None:
-        """Real-time loop: wait for tuples or the next trigger, whichever is first."""
-        if not self._started:
-            self.start(duration_ms)
-        while not self._stopped:
-            if self._end is not None and self._next_trigger > self._end:
-                break
-            if stop_event is not None and stop_event.is_set():
-                break
-            now = self.clock.now_ms()
-            wait_ms = self._next_trigger - now
-            if wait_ms > 0:
-                # Cap the wait so stop_event stays responsive.
-                t = self.fetch.receive(timeout=min(wait_ms / 1000.0, 0.2))
-                if t is not None:
-                    self.admit(t)
-                    for extra in self.fetch.drain():
-                        self.admit(extra)
-                continue
-            self.step()

@@ -231,12 +231,7 @@ class _Series:
             if column is None:
                 column = columns[name] = _Column()
             if is_numeric_value(value):
-                try:
-                    column.values.append(value)
-                except OverflowError:
-                    # An int beyond the float range cannot be aggregated.
-                    column.other_ts.append(ts)
-                    continue
+                column.values.append(value)
                 column.ts.append(ts)
             else:
                 column.other_ts.append(ts)
@@ -468,7 +463,3 @@ class Connection:
 
     def close(self) -> None:
         self._open = False
-
-    @property
-    def is_open(self) -> bool:
-        return self._open

@@ -1,8 +1,10 @@
 import json
 import tempfile
+import threading
 
 import pytest
 
+from conflux import runtime
 from conflux.cli import main, parse_duration_ms
 from conflux.model import StreamTuple, encode_tuple
 from conflux.store import HistoricStore, SeriesRef
@@ -196,6 +198,34 @@ def test_query_hybrid_over_store(roots, tmp_path, capsys):
     # window trails further past the end of history; no live tuples arrive.
     assert [d["hist_count"] for d in docs] == [580, 560, 540]
     assert all(d["live_count"] == 0 for d in docs)
+
+
+def _failing_evaluate(*args, **kwargs):
+    raise RuntimeError("evaluation exploded")
+
+
+def test_query_virtual_stage_failure_exits_2(roots, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(runtime, "hybrid_evaluate", _failing_evaluate)
+    log = tmp_path / "live.ndjson"
+    _write_ndjson(log, _speed_tuples(120))
+    assert main(["query", Q_STREAM, "--replay", str(log)]) == 2
+    err = capsys.readouterr().err
+    assert "pipeline failed: RuntimeError: evaluation exploded" in err
+
+
+def test_query_real_stage_failure_exits_2(roots, capsys, monkeypatch):
+    monkeypatch.setattr(runtime, "hybrid_evaluate", _failing_evaluate)
+    every_second = Q_STREAM.replace("EVERY 1 minutes", "EVERY 1 seconds")
+    rc = []
+    runner = threading.Thread(
+        target=lambda: rc.append(main(["query", every_second, "--clock", "real",
+                                       "--duration", "2s"])),
+        daemon=True,
+    )
+    runner.start()
+    runner.join(timeout=15)
+    assert rc == [2]
+    assert "pipeline failed: RuntimeError: evaluation exploded" in capsys.readouterr().err
 
 
 def test_query_unknown_series_is_plan_error(roots, capsys):

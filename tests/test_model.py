@@ -47,6 +47,10 @@ def test_is_numeric_value():
     assert not is_numeric_value(True)
     assert not is_numeric_value("3")
     assert not is_numeric_value(None)
+    assert is_numeric_value(2**1000)
+    assert not is_numeric_value(10**400)
+    assert not is_numeric_value(float("nan"))
+    assert not is_numeric_value(float("inf"))
 
 
 def test_interval_basic():

@@ -1,15 +1,55 @@
 """The benchmark imports and patches package names; a deletion must fail here first."""
 
 import importlib
+from array import array
 from pathlib import Path
+
+import pytest
+
+from conflux.clock import VirtualClock
+from conflux.model import StreamTuple
+from conflux.query import Catalog, parse_query
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_tracer_resolves_every_patch_point(monkeypatch):
+@pytest.fixture
+def perfbench(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    tracer = importlib.import_module("tracer")
-    importlib.import_module("workloads")
+    return importlib.import_module("tracer"), importlib.import_module("workloads")
+
+
+def test_tracer_resolves_every_patch_point(perfbench):
+    tracer, _ = perfbench
     # Construction looks up every (owner, attribute) in TIMED and COUNTED.
     t = tracer.Tracer()
     assert not t.active
+
+
+def test_workload_driver_runs_one_live_query(perfbench, tmp_path):
+    # The calls the benchmark makes on a pipeline: launch keywords,
+    # pump_until_quiet, the plan's queue names and the shape of stop()'s status.
+    tracer, workloads = perfbench
+    ctx = workloads.Context(seed=1, seconds=1.0, trace=False, work=tmp_path, tracer=tracer.Tracer())
+    out = workloads.Outcome()
+    spec = parse_query(
+        "EVERY 1 minutes compute the max value of download_speed of the last 1 minutes "
+        "from streaming rabbitmq queue farm"
+    )
+    catalog = Catalog(stream_queues=frozenset({"farm"}), series_attributes={})
+    clock = VirtualClock(0)
+    pipe = workloads.start_pipeline(ctx, [spec], catalog, None, clock, "smoke")
+    drive = workloads.Driver(pipe, clock, ctx, out)
+    ts = array("q", range(0, 60_000, 10_000))
+    values = array("d", (float(k % 4) for k in range(len(ts))))
+    arrivals = [
+        (t, StreamTuple(t, {"download_speed": v}, "thing")) for t, v in zip(ts, values)
+    ]
+    (seg,) = workloads.segments(arrivals, 0, 60_000, 1)
+    drive.segment(1, seg, 60_000)
+    timeline = workloads.Timeline(ts, {"download_speed": values}, arrival=ts)
+    workloads.check_results(out, [spec], drive.results(), 60_000, (timeline,), "smoke")
+    drive.finish()
+    assert (out.attempted, out.failed) == (1, 0), out.mismatches
+    assert out.layer["fetch.tuples_in"] == out.layer["fetch.tuples_out"] == len(ts)
+    assert out.layer["runtime.late_dropped"] == 0

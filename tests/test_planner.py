@@ -1,5 +1,7 @@
 import json
 import random
+import threading
+import time
 
 import pytest
 
@@ -19,7 +21,7 @@ from conflux.planner import (
 )
 from conflux.query import AggregationFunction, Catalog, WindowKind, parse_query, render_query
 from conflux.runtime import result_from_tuple
-from conflux.store import HistoricStore, SeriesRef
+from conflux.store import Connection, HistoricStore, SeriesRef
 
 from oracle import close, single_pass_window
 from test_query import FASTEST_DOWNLOAD, NEUBOT_SPEED_MEAN
@@ -255,3 +257,69 @@ def test_threaded_pipeline_small_run(broker, catalog):
     got = broker.subscribe(p.stages[1].sink_queue).drain()
     assert len(got) == 1
     assert result_from_tuple(got[0]).count == 5
+
+
+# -- failing stages -----------------------------------------------------------
+
+HYBRID_EVERY_SECOND = (
+    "EVERY 1 seconds compute the mean value of download_speed of the last 10 seconds "
+    "FROM influxdb database neubot series speedtest and streaming RabbitMQ queue neubotspeed"
+)
+
+
+@pytest.fixture
+def failing_store(monkeypatch):
+    def refuse(self, q):
+        raise ConnectionError("store unreachable")
+
+    monkeypatch.setattr(Connection, "query_to_historic", refuse)
+    store = HistoricStore(None)
+    store.register_series(SeriesRef("influxdb", "neubot", "speedtest"))
+    yield store
+    store.close()
+
+
+def test_threaded_stage_failure_fails_the_pipeline(broker, catalog, failing_store):
+    p = plan(parse_query(HYBRID_EVERY_SECOND), catalog)
+    pipe = launch(p, broker, store=failing_store, duration_ms=60_000, threaded=True)
+    deadline = time.monotonic() + 5
+    while pipe.status().state is not PipelineState.FAILED and time.monotonic() < deadline:
+        time.sleep(0.02)
+    status = pipe.status()
+    assert status.state is PipelineState.FAILED
+    assert status.cause == "ConnectionError: store unreachable"
+    assert all(op.finished for op in pipe.operators)
+    stopped = pipe.stop(drain_timeout_s=2)
+    assert (stopped.state, stopped.cause) == (PipelineState.FAILED, status.cause)
+    # The failed pipeline gave its consumer slots back.
+    again = launch(p, broker, store=failing_store, clock=VirtualClock(0), threaded=False)
+    assert again.state is PipelineState.RUNNING
+    again.stop()
+
+
+def test_unthreaded_stage_failure_raises_from_pump(broker, catalog, failing_store):
+    pipe, clock, _ = _launch_virtual(
+        broker, catalog, HYBRID_EVERY_SECOND, store=failing_store, duration_ms=60_000
+    )
+    clock.set_ms(1_000)
+    with pytest.raises(ConnectionError):
+        pipe.pump()
+    status = pipe.status()
+    assert status.state is PipelineState.FAILED
+    assert "store unreachable" in status.cause
+    assert pipe.stop().state is PipelineState.FAILED
+
+
+def test_threaded_pipeline_owns_one_thread(broker, catalog):
+    texts = [
+        STREAM_MAX,
+        STREAM_MAX.replace("max", "min"),
+        STREAM_MAX.replace("max", "mean"),
+    ]
+    p = plan_many([parse_query(t) for t in texts], catalog)
+    before = threading.active_count()
+    pipe = launch(p, broker, duration_ms=10 * MIN, threaded=True)
+    assert pipe.state is PipelineState.RUNNING
+    assert threading.active_count() - before == 1
+    assert pipe.stop(drain_timeout_s=2).state is PipelineState.STOPPED
+    assert threading.active_count() == before

@@ -326,6 +326,23 @@ def test_non_numeric_tuples_are_not_buffered(broker):
     assert (r.count, r.live_count, r.value) == (1, 1, 4.0)
 
 
+def test_int_beyond_float_range_is_skipped_not_fired(broker):
+    clock = VirtualClock(0)
+    cfg = _config(
+        WindowSpec(WindowKind.SLIDING, 1, TimeUnit.MINUTES),
+        trigger_s=60,
+        fn=AggregationFunction.MAX,
+    )
+    op, _, results = _operator(broker, clock, cfg)
+    op.start(duration_ms=MIN)
+    assert not op.admit(_t(1_000, 10**400))
+    clock.set_ms(MIN)
+    op.step()
+    assert (op.metrics.non_numeric_skipped, op.metrics.buffered) == (1, 0)
+    r = result_from_tuple(results.drain()[0])
+    assert (r.count, r.value) == (0, None)
+
+
 def test_buffer_evicted_after_firing(broker):
     clock = VirtualClock(0)
     cfg = _config(WindowSpec(WindowKind.SLIDING, 1, TimeUnit.MINUTES), trigger_s=60)
