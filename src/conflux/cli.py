@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -33,7 +34,7 @@ from .clock import SystemClock, VirtualClock
 from .model import StreamTuple, TupleDecodeError, decode_tuple
 from .planner import PipelineState, PlanError, launch, plan, run_virtual
 from .query import Catalog, QueryError, QuerySpec, parse_query
-from .runtime import encode_result, is_error_tuple
+from .runtime import encode_result
 from .simulator import FarmConfig, Topology, farm_config_from_dict, replay_log, run_farm
 from .store import HistoricStore, SeriesRef, StoreError
 
@@ -174,7 +175,11 @@ def cmd_ingest(args) -> int:
 
 
 def _catalog_for(spec: QuerySpec, store: HistoricStore | None) -> Catalog:
-    """Catalog trusting the query's own stream queue; series come from the store."""
+    """Catalog trusting the query's own stream queue; series come from the store.
+
+    Without a store the query's own historic source is trusted too, with its
+    attributes unknown, so a plan can be rendered without any data.
+    """
     queues = set()
     if spec.sources.stream is not None:
         queues.add(spec.sources.stream.queue)
@@ -182,6 +187,9 @@ def _catalog_for(spec: QuerySpec, store: HistoricStore | None) -> Catalog:
     if store is not None:
         for ref in store.series_refs():
             series_attributes[(ref.provider, ref.database, ref.series)] = store.attributes(ref)
+    elif spec.sources.historic is not None:
+        h = spec.sources.historic
+        series_attributes[(h.provider, h.database, h.series)] = frozenset()
     return Catalog(stream_queues=frozenset(queues), series_attributes=series_attributes)
 
 
@@ -202,7 +210,7 @@ def _write_results(pipeline, broker: Broker, args) -> int:
         with open(args.plot_csv, "w", encoding="utf-8") as f:
             f.write("trigger_ts,value\n")
             for t in results:
-                if not is_error_tuple(t) and "value" in t.attributes:
+                if "value" in t.attributes:
                     f.write(f"{t.timestamp},{t.attributes['value']}\n")
     return len(results)
 
@@ -311,20 +319,7 @@ def cmd_explain(args) -> int:
     spec = parse_query(args.query)
     store = HistoricStore(_store_root(args)) if _store_root(args) else None
     try:
-        if store is not None:
-            catalog = _catalog_for(spec, store)
-        else:
-            # No store attached: trust the query's own sources so the plan
-            # can still be rendered.
-            series = {}
-            if spec.sources.historic is not None:
-                h = spec.sources.historic
-                series[(h.provider, h.database, h.series)] = frozenset()
-            queues = set()
-            if spec.sources.stream is not None:
-                queues.add(spec.sources.stream.queue)
-            catalog = Catalog(stream_queues=frozenset(queues), series_attributes=series)
-        print(plan(spec, catalog).to_json())
+        print(plan(spec, _catalog_for(spec, store)).to_json())
         return EXIT_OK
     finally:
         if store is not None:
@@ -347,6 +342,14 @@ def cmd_replay(args) -> int:
 # -- bench ------------------------------------------------------------------
 
 
+_TOPOLOGY_NAMES = {"shared": Topology.SHARED_QUEUE, "per-thing": Topology.QUEUE_PER_THING}
+
+
+def _topology(value: str) -> Topology:
+    """A CLI name (shared, per-thing) or an enum value (shared_queue, queue_per_thing)."""
+    return _TOPOLOGY_NAMES[value] if value in _TOPOLOGY_NAMES else Topology(value)
+
+
 def _base_farm_config(args) -> FarmConfig:
     if args.config:
         with open(args.config, encoding="utf-8") as f:
@@ -355,41 +358,34 @@ def _base_farm_config(args) -> FarmConfig:
         things=args.things,
         period_ms=parse_duration_ms(args.period),
         duration_ms=parse_duration_ms(args.bench_duration),
-        topology=Topology.SHARED_QUEUE if args.topology == "shared" else Topology.QUEUE_PER_THING,
+        topology=_TOPOLOGY_NAMES[args.topology],
         seed=args.seed,
     )
 
 
-_MATRIX_KEYS = {"things", "topology", "period", "duration"}
+_MATRIX_AXES = {
+    "things": ("things", int),
+    "topology": ("topology", _topology),
+    "period": ("period_ms", parse_duration_ms),
+    "duration": ("duration_ms", parse_duration_ms),
+}
 
 
 def _matrix_combos(base: FarmConfig, matrix_args: list[str]) -> list[FarmConfig]:
-    axes: dict[str, list[str]] = {}
+    """The cross product of the axes; a later axis with the same key replaces an earlier one."""
+    axes: dict[str, list] = {}
     for item in matrix_args:
         key, _, values = item.partition("=")
-        if key not in _MATRIX_KEYS or not values:
-            raise CliError(f"bad matrix axis: {item!r} (keys: {', '.join(sorted(_MATRIX_KEYS))})")
-        axes[key] = values.split(",")
+        if key not in _MATRIX_AXES or not values:
+            raise CliError(f"bad matrix axis: {item!r} (keys: {', '.join(sorted(_MATRIX_AXES))})")
+        field, parse = _MATRIX_AXES[key]
+        try:
+            axes[field] = [parse(v) for v in values.split(",")]
+        except ValueError as exc:
+            raise CliError(f"bad matrix axis: {item!r}: {exc}") from exc
     combos = [base]
-    for key, values in axes.items():
-        expanded = []
-        for cfg in combos:
-            for value in values:
-                if key == "things":
-                    cfg2 = FarmConfig(**{**cfg.__dict__, "things": int(value)})
-                elif key == "period":
-                    cfg2 = FarmConfig(**{**cfg.__dict__, "period_ms": parse_duration_ms(value)})
-                elif key == "duration":
-                    cfg2 = FarmConfig(**{**cfg.__dict__, "duration_ms": parse_duration_ms(value)})
-                else:
-                    topo = (
-                        Topology.SHARED_QUEUE
-                        if value in ("shared", "shared_queue")
-                        else Topology.QUEUE_PER_THING
-                    )
-                    cfg2 = FarmConfig(**{**cfg.__dict__, "topology": topo})
-                expanded.append(cfg2)
-        combos = expanded
+    for field, values in axes.items():
+        combos = [dataclasses.replace(cfg, **{field: v}) for cfg in combos for v in values]
     return combos
 
 

@@ -86,10 +86,6 @@ class Interval:
         if self.start > self.end:
             raise ValueError(f"interval start {self.start} exceeds end {self.end}")
 
-    @property
-    def length(self) -> int:
-        return self.end - self.start
-
 
 @dataclass(frozen=True)
 class StreamTuple:

@@ -36,6 +36,8 @@ logger = logging.getLogger(__name__)
 
 # Longest a real-clock driver sleeps before it pumps newly arrived tuples.
 POLL_S = 0.1
+# Longest ``Pipeline.stop`` waits for the driver thread's last pump.
+DRAIN_TIMEOUT_S = 10.0
 
 
 class PlanError(ValueError):
@@ -428,9 +430,9 @@ class Pipeline:
 
     # -- shutdown ---------------------------------------------------------
 
-    def stop(self, drain_timeout_s: float = 10.0) -> PipelineStatus:
+    def stop(self) -> PipelineStatus:
         """Graceful stop: a last pump (by the driver thread, if there is one,
-        within ``drain_timeout_s``), then every subscription and connection is
+        within ``DRAIN_TIMEOUT_S``), then every subscription and connection is
         closed. A failed pipeline keeps FAILED and its cause but is closed too,
         which frees the source queue's consumer slot for the next launch.
         """
@@ -440,7 +442,7 @@ class Pipeline:
                 if self._driver is None:
                     self._pump_logged()
                 else:
-                    self._driver.join(timeout=drain_timeout_s)
+                    self._driver.join(timeout=DRAIN_TIMEOUT_S)
                 if self.state is PipelineState.RUNNING:
                     self.state = PipelineState.STOPPED
             if self._fetch is not None:

@@ -407,13 +407,12 @@ class Catalog:
     ``series_attributes`` maps (provider, database, series) to the attribute
     names observed in that series; an empty set means the series exists but
     its attributes are unknown, which disables the attribute check.
-    ``live_retention_ms`` bounds how far back live queues can serve data;
-    None means unknown/unbounded and disables the retention check.
+    Stream queues carry no retention bound: a live-only query is answered
+    from whatever its stream delivered, however long its window.
     """
 
     stream_queues: frozenset[str] = frozenset()
     series_attributes: Mapping[tuple[str, str, str], frozenset[str]] = None  # type: ignore[assignment]
-    live_retention_ms: int | None = None
 
     def __post_init__(self) -> None:
         if self.series_attributes is None:
@@ -450,13 +449,4 @@ def validate(spec: QuerySpec, catalog: Catalog) -> list[str]:
                 f"attribute {spec.attribute!r} not present in series "
                 f"{h.provider}/{h.database}/{h.series}"
             )
-    if (
-        src.historic is None
-        and catalog.live_retention_ms is not None
-        and spec.window.duration_ms > catalog.live_retention_ms
-    ):
-        diags.append(
-            f"window spans {spec.window.duration_ms} ms but live retention is "
-            f"{catalog.live_retention_ms} ms: a historic source is required"
-        )
     return diags

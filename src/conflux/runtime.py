@@ -40,24 +40,16 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class OperatorConfig:
-    """Everything an operator needs beyond its wiring.
-
-    ``live_retention`` declares how far back the live stream can answer
-    when no historic source is attached; None means unbounded, so hybrid
-    evaluation never reports an uncovered interval.
-    """
+    """Everything an operator needs beyond its wiring."""
 
     trigger: Frequency
     window: WindowSpec
     aggregation: AggregationFunction
     attribute: str
-    live_retention: int | None = None
 
     def __post_init__(self) -> None:
         if not self.attribute:
             raise ValueError("attribute must be non-empty")
-        if self.live_retention is not None and self.live_retention < 0:
-            raise ValueError(f"live_retention must be >= 0, got {self.live_retention}")
 
 
 @dataclass(frozen=True)
@@ -74,16 +66,6 @@ class WindowResult:
             raise ValueError("count must equal history_count + live_count")
         if (self.value is None) != (self.count == 0):
             raise ValueError("value must be absent exactly when count is zero")
-
-
-class IncompleteWindowError(RuntimeError):
-    """Raised when a window reaches further back than any attached source covers."""
-
-    def __init__(self, uncovered: Interval):
-        super().__init__(
-            f"window part [{uncovered.start}, {uncovered.end}) is covered by no source"
-        )
-        self.uncovered = uncovered
 
 
 def window_extent(spec: WindowSpec, trigger_time: int, anchor: int) -> Interval:
@@ -107,12 +89,13 @@ def hybrid_evaluate(
 
     With a historic connection, [window.start, split) is answered by a
     single-bucket store query and the buffer only serves [split, window.end).
-    Without one the buffer serves the whole window, and a window reaching
-    below split - live_retention raises IncompleteWindowError instead of
-    silently undercounting. ``live_tuples`` must be sorted by timestamp.
+    Without one the buffer serves the whole window, so a live-only window
+    counts exactly the tuples its stream delivered, however far back it
+    reaches. ``live_tuples`` must be sorted by timestamp.
     """
     partial = aggregates.empty(config.aggregation)
     history_count = 0
+    live_start = window.start
     if historic is not None and window.start < min(window.end, split):
         hist_end = min(window.end, split)
         span = hist_end - window.start
@@ -133,15 +116,6 @@ def hybrid_evaluate(
             )
             history_count += int(row.count)
         live_start = max(window.start, split)
-    else:
-        if (
-            historic is None
-            and config.live_retention is not None
-            and window.start < split - config.live_retention
-        ):
-            horizon = split - config.live_retention
-            raise IncompleteWindowError(Interval(window.start, min(window.end, horizon)))
-        live_start = window.start
 
     live_count = 0
     lo = bisect_left(live_tuples, live_start, key=lambda t: t.timestamp)
@@ -163,10 +137,6 @@ def hybrid_evaluate(
 
 
 # -- result wire formats ---------------------------------------------------
-
-ERROR_KEY = "error"
-INCOMPLETE_WINDOW = "incomplete_window"
-
 
 def result_to_tuple(r: WindowResult, source_id: str) -> StreamTuple:
     """Results travel broker queues as ordinary tuples; value is omitted when empty."""
@@ -193,21 +163,8 @@ def result_from_tuple(t: StreamTuple) -> WindowResult:
     )
 
 
-def error_to_tuple(trigger_time: int, uncovered: Interval, source_id: str) -> StreamTuple:
-    attrs = {
-        ERROR_KEY: INCOMPLETE_WINDOW,
-        "uncovered_start": uncovered.start,
-        "uncovered_end": uncovered.end,
-    }
-    return StreamTuple(timestamp=trigger_time, attributes=attrs, source_id=source_id)
-
-
-def is_error_tuple(t: StreamTuple) -> bool:
-    return ERROR_KEY in t.attributes
-
-
 def encode_result(t: StreamTuple) -> str:
-    """One NDJSON line per sink tuple, result or error: trigger_ts, then its attributes."""
+    """One NDJSON line per window result: trigger_ts, then the result tuple's attributes."""
     return json.dumps(
         {"trigger_ts": t.timestamp, **t.attributes}, separators=(",", ":"), allow_nan=False
     )
@@ -226,7 +183,7 @@ def decode_result(line: str) -> WindowResult:
 class OperatorMetrics:
     """Counters; every tuple in is buffered, late, behind the watermark or non-numeric.
 
-    ``behind_watermark`` counts live tuples older than the split of an
+    ``behind_watermark`` counts live tuples older than the anchor of an
     operator with a historic source, whose store already answers that time.
     """
 
@@ -235,7 +192,6 @@ class OperatorMetrics:
     late_dropped: int = 0
     behind_watermark: int = 0
     non_numeric_skipped: int = 0
-    incomplete_windows: int = 0
     max_trigger_lag_ms: int = 0
     buffered: int = 0
 
@@ -243,8 +199,8 @@ class OperatorMetrics:
 class Operator:
     """One scheduled aggregation stage between a fetch queue and a sink queue.
 
-    ``split`` is the watermark: the operator's start instant, so everything
-    stored before launch is history and everything after is live.
+    ``anchor`` is also the watermark: the operator's start instant, so
+    everything stored before launch is history and everything after is live.
     """
 
     def __init__(
@@ -268,26 +224,24 @@ class Operator:
         self._stopped = False
         self.stop_reason: str | None = None
         self.anchor = 0
-        self.split = 0
         self._next_trigger = 0
         self._end: int | None = None
 
     # -- lifecycle --------------------------------------------------------
 
     def start(self, duration_ms: int | None = None) -> None:
-        """Pin the anchor, watermark and first trigger to the current instant."""
+        """Pin the anchor (the watermark) and first trigger to the current instant."""
         if self._started:
             raise RuntimeError(f"operator {self.name} already started")
         self._started = True
-        self.anchor = self.split = self.clock.now_ms()
+        self.anchor = self.clock.now_ms()
         self._next_trigger = self.anchor + self.config.trigger.period_ms
         if duration_ms is not None:
             self._end = self.anchor + duration_ms
         logger.debug(
-            "operator %s started at %d (split=%d, first trigger=%d)",
+            "operator %s started at %d (first trigger=%d)",
             self.name,
             self.anchor,
-            self.split,
             self._next_trigger,
         )
 
@@ -329,7 +283,7 @@ class Operator:
         if t.timestamp < self._admission_bound():
             self.metrics.late_dropped += 1
             return False
-        if self.historic is not None and t.timestamp < self.split:
+        if self.historic is not None and t.timestamp < self.anchor:
             self.metrics.behind_watermark += 1
             return False
         if not is_numeric_value(t.attributes.get(self.config.attribute)):
@@ -350,19 +304,10 @@ class Operator:
 
     def _fire(self, trigger_time: int) -> None:
         window = window_extent(self.config.window, trigger_time, self.anchor)
-        try:
-            result = hybrid_evaluate(
-                trigger_time,
-                window,
-                self.split,
-                self._buffer,
-                self.historic,
-                self.config,
-            )
-            out = result_to_tuple(result, self.name)
-        except IncompleteWindowError as exc:
-            self.metrics.incomplete_windows += 1
-            out = error_to_tuple(trigger_time, exc.uncovered, self.name)
+        result = hybrid_evaluate(
+            trigger_time, window, self.anchor, self._buffer, self.historic, self.config
+        )
+        out = result_to_tuple(result, self.name)
         try:
             self.sink.publish(out)
         except ClosedQueueError:

@@ -294,12 +294,6 @@ class HistoricStore:
             series.segment_index = int(last.stem) + 1
         logger.debug("loaded %d tuples from %s", series.count, directory)
 
-    def flush(self) -> None:
-        with self._lock:
-            for series in self._series.values():
-                if series.writer is not None:
-                    series.writer.flush()
-
     def close(self) -> None:
         with self._lock:
             for series in self._series.values():

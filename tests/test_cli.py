@@ -296,5 +296,6 @@ def test_bench_config_file(roots, tmp_path, capsys):
 
 
 def test_bench_bad_matrix_axis(roots, capsys):
-    assert main(["bench", "--clock", "virtual", "--matrix", "wheels=4"]) == 2
-    assert "matrix" in capsys.readouterr().err
+    for axis in ("wheels=4", "topology=bogus"):
+        assert main(["bench", "--clock", "virtual", "--matrix", axis]) == 2
+        assert "matrix" in capsys.readouterr().err

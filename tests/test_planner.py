@@ -252,7 +252,7 @@ def test_threaded_pipeline_small_run(broker, catalog):
     deadline = time.monotonic() + 5
     while not pipe.operators[0].finished and time.monotonic() < deadline:
         time.sleep(0.02)
-    status = pipe.stop(drain_timeout_s=2)
+    status = pipe.stop()
     assert status.state is PipelineState.STOPPED
     got = broker.subscribe(p.stages[1].sink_queue).drain()
     assert len(got) == 1
@@ -289,7 +289,7 @@ def test_threaded_stage_failure_fails_the_pipeline(broker, catalog, failing_stor
     assert status.state is PipelineState.FAILED
     assert status.cause == "ConnectionError: store unreachable"
     assert all(op.finished for op in pipe.operators)
-    stopped = pipe.stop(drain_timeout_s=2)
+    stopped = pipe.stop()
     assert (stopped.state, stopped.cause) == (PipelineState.FAILED, status.cause)
     # The failed pipeline gave its consumer slots back.
     again = launch(p, broker, store=failing_store, clock=VirtualClock(0), threaded=False)
@@ -321,5 +321,5 @@ def test_threaded_pipeline_owns_one_thread(broker, catalog):
     pipe = launch(p, broker, duration_ms=10 * MIN, threaded=True)
     assert pipe.state is PipelineState.RUNNING
     assert threading.active_count() - before == 1
-    assert pipe.stop(drain_timeout_s=2).state is PipelineState.STOPPED
+    assert pipe.stop().state is PipelineState.STOPPED
     assert threading.active_count() == before

@@ -213,25 +213,6 @@ def test_validate_unknown_attribute():
     assert any("'missing' not present" in d for d in validate(spec, _CATALOG))
 
 
-def test_validate_retention_requires_historic():
-    catalog = Catalog(
-        stream_queues=frozenset({"neubotspeed"}),
-        series_attributes={},
-        live_retention_ms=TimeUnit.HOURS.millis,
-    )
-    spec = parse_query(
-        "every 5 minutes compute the mean value of v of the last 2 days "
-        "from streaming rabbitmq queue neubotspeed"
-    )
-    diags = validate(spec, catalog)
-    assert any("historic source is required" in d for d in diags)
-    short = parse_query(
-        "every 5 minutes compute the mean value of v of the last 30 minutes "
-        "from streaming rabbitmq queue neubotspeed"
-    )
-    assert validate(short, catalog) == []
-
-
 # -- round-trip property ----------------------------------------------------
 
 _KEYWORDS = {

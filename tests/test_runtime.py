@@ -8,15 +8,12 @@ from conflux.clock import VirtualClock
 from conflux.model import Interval, StreamTuple
 from conflux.query import AggregationFunction, Frequency, TimeUnit, WindowKind, WindowSpec
 from conflux.runtime import (
-    IncompleteWindowError,
     Operator,
     OperatorConfig,
     WindowResult,
     decode_result,
     encode_result,
-    error_to_tuple,
     hybrid_evaluate,
-    is_error_tuple,
     result_from_tuple,
     result_to_tuple,
     window_extent,
@@ -113,19 +110,6 @@ def test_hybrid_without_store_uses_whole_buffer():
     assert close(r.value, 4.0)
 
 
-def test_hybrid_incomplete_window_without_store():
-    cfg = _config(SLIDING_10M, live_retention=30_000)
-    with pytest.raises(IncompleteWindowError) as err:
-        hybrid_evaluate(120_000, Interval(0, 120_000), 60_000, [], None, cfg)
-    assert err.value.uncovered == Interval(0, 30_000)
-
-
-def test_hybrid_retention_exactly_covering_is_fine():
-    cfg = _config(SLIDING_10M, live_retention=60_000)
-    r = hybrid_evaluate(120_000, Interval(0, 120_000), 60_000, [], None, cfg)
-    assert r.count == 0 and r.value is None
-
-
 def test_empty_window_result_has_no_value(mem_store):
     mem_store.register_series(REF)
     conn = mem_store.open_connection(REF)
@@ -189,21 +173,6 @@ def test_empty_result_omits_value():
         "trigger_ts", "win_start", "win_end", "count", "hist_count", "live_count"
     ]
     assert decode_result(line) == r
-
-
-def test_error_tuple_marked_and_typed():
-    t = error_to_tuple(120_000, Interval(0, 30_000), "op")
-    assert is_error_tuple(t)
-    assert list(json.loads(encode_result(t)).items()) == [
-        ("trigger_ts", 120_000),
-        ("error", "incomplete_window"),
-        ("uncovered_start", 0),
-        ("uncovered_end", 30_000),
-    ]
-    r = result_to_tuple(
-        WindowResult(60_000, Interval(0, 60_000), 0, None, 0, 0), "op"
-    )
-    assert not is_error_tuple(r)
 
 
 # -- operator loop ----------------------------------------------------------
@@ -394,22 +363,6 @@ def test_live_only_operator_buffers_tuples_before_start(broker):
     op.start()
     assert op.admit(_t(30_000, 5.0))
     assert (op.metrics.behind_watermark, op.metrics.buffered) == (0, 1)
-
-
-def test_incomplete_window_emits_error_record(broker):
-    clock = VirtualClock(1_000_000)
-    cfg = _config(
-        WindowSpec(WindowKind.SLIDING, 10, TimeUnit.MINUTES),
-        trigger_s=60,
-        live_retention=0,
-    )
-    op, _, results = _operator(broker, clock, cfg)
-    op.start(duration_ms=MIN)
-    clock.set_ms(1_000_000 + MIN)
-    op.step()
-    out = results.drain()
-    assert len(out) == 1 and is_error_tuple(out[0])
-    assert op.metrics.incomplete_windows == 1
 
 
 def test_sink_closed_stops_operator(broker):
