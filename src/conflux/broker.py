@@ -297,7 +297,6 @@ class Broker:
     def __init__(self, spill_root: Path | str):
         self.spill_root = Path(spill_root)
         self._queues: dict[str, Queue] = {}
-        self._configs: dict[str, QueueConfig] = {}
         self._lock = threading.Lock()
 
     def declare_queue(self, config: QueueConfig) -> Queue:
@@ -305,14 +304,13 @@ class Broker:
         with self._lock:
             existing = self._queues.get(config.name)
             if existing is not None:
-                if self._configs[config.name] != config:
+                if existing.config != config:
                     raise QueueConfigConflict(
                         f"queue {config.name!r} already declared with a different config"
                     )
                 return existing
             queue = Queue(config, self.spill_root / config.name)
             self._queues[config.name] = queue
-            self._configs[config.name] = config
             logger.debug("declared queue %s (capacity=%d)", config.name, config.memory_capacity)
             return queue
 
@@ -348,7 +346,6 @@ class Broker:
         """Close the queue and remove its spill files."""
         with self._lock:
             queue = self._queues.pop(name, None)
-            self._configs.pop(name, None)
         if queue is not None:
             queue._destroy()
             spill_dir = queue._spill_dir

@@ -19,7 +19,6 @@ import csv
 import dataclasses
 import json
 import logging
-import math
 import os
 import re
 import shutil
@@ -93,7 +92,8 @@ def _broker(args) -> Iterator[Broker]:
 def _read_csv_tuples(path: Path) -> tuple[list[StreamTuple], int]:
     """CSV rows to tuples: header names attributes, ts column in ms, src optional.
 
-    A row with an unparsable ts or a non-finite number counts as malformed.
+    A row with an unparsable ts, or one StreamTuple rejects (a non-finite
+    number, say), counts as malformed.
     """
     tuples: list[StreamTuple] = []
     bad = 0
@@ -110,13 +110,9 @@ def _read_csv_tuples(path: Path) -> tuple[list[StreamTuple], int]:
                     if raw is None or raw == "":
                         continue
                     try:
-                        value = float(raw)
+                        attrs[name] = float(raw)
                     except ValueError:
                         attrs[name] = raw
-                        continue
-                    if not math.isfinite(value):
-                        raise ValueError(f"non-finite value for attribute {name!r}")
-                    attrs[name] = value
                 tuples.append(StreamTuple(timestamp=ts, attributes=attrs, source_id=src))
             except (ValueError, TypeError):
                 bad += 1
@@ -229,9 +225,6 @@ def cmd_query(args) -> int:
     try:
         catalog = _catalog_for(spec, store)
         the_plan = plan(spec, catalog)
-        if args.explain:
-            print(the_plan.to_json())
-            return EXIT_OK
         duration_ms = parse_duration_ms(args.duration) if args.duration else None
         with _broker(args) as broker:
             if args.clock == "virtual":
@@ -439,7 +432,6 @@ def build_parser() -> _Parser:
     p.add_argument("--start-ms", type=int, default=None, help="virtual clock origin")
     p.add_argument("--output", help="results NDJSON path (default stdout)")
     p.add_argument("--plot-csv", help="also write trigger_ts,value CSV here")
-    p.add_argument("--explain", action="store_true", help="print the plan, do not run")
     p.add_argument("--store-root")
     p.add_argument("--spill-root")
     p.set_defaults(func=cmd_query)

@@ -50,12 +50,6 @@ class VirtualClock:
         # Virtual time does not pass while sleeping; drivers advance it.
         pass
 
-    def advance_ms(self, millis: int) -> int:
-        if millis < 0:
-            raise ValueError("cannot advance a clock backwards")
-        self._now += millis
-        return self._now
-
     def set_ms(self, t: int) -> None:
         if t < self._now:
             raise ValueError(f"clock cannot move backwards: {t} < {self._now}")

@@ -91,10 +91,18 @@ class Interval:
 class StreamTuple:
     """One timestamped observation: source id plus attribute-value pairs.
 
-    Attribute values are atomic (int, float, or str); attribute names are
-    unique by construction (dict keys) and at least one attribute must be
-    present. Attribute order is preserved and round-trips through the wire
-    encoding.
+    This type is the one place a tuple is validated; construction raises
+    ValueError unless:
+
+    * the timestamp is an int (not bool) in [0, MAX_MILLIS];
+    * the source id is a str;
+    * there is at least one attribute;
+    * every attribute name is a str outside RESERVED_KEYS;
+    * every value is an int (not bool), a str or a finite float.
+
+    So every tuple that exists round-trips unchanged through the NDJSON
+    codec, a spilling broker queue and the store. Attribute order is
+    preserved by the codec.
     """
 
     timestamp: int
@@ -106,8 +114,18 @@ class StreamTuple:
             raise ValueError(f"timestamp must be an integer, got {self.timestamp!r}")
         if self.timestamp < 0 or self.timestamp > MAX_MILLIS:
             raise ValueError(f"timestamp out of range: {self.timestamp}")
+        if not isinstance(self.source_id, str):
+            raise ValueError(f"source id must be a string, got {self.source_id!r}")
         if not self.attributes:
             raise ValueError("tuple must carry at least one attribute")
+        for name, v in self.attributes.items():
+            if not isinstance(name, str) or name in RESERVED_KEYS:
+                raise ValueError(f"attribute name {name!r} must be a str other than ts and src")
+            if isinstance(v, float):
+                if not math.isfinite(v):
+                    raise ValueError(f"attribute {name!r} is non-finite")
+            elif isinstance(v, bool) or not isinstance(v, (int, str)):
+                raise ValueError(f"attribute {name!r} has non-atomic value {v!r}")
 
 
 @dataclass(frozen=True)
@@ -136,48 +154,31 @@ class TupleDecodeError(ValueError):
 def encode_tuple(t: StreamTuple) -> str:
     """Encode a tuple as one compact JSON object (no trailing newline).
 
-    Reserved keys are exactly ``ts`` and ``src``; attribute order is
-    preserved, so encoding is deterministic and round-trips byte-identically.
+    The reserved keys ``ts`` and ``src`` come first, then the attributes in
+    order, so encoding is deterministic and round-trips byte-identically.
     """
-    obj: dict[str, object] = {"ts": t.timestamp, "src": t.source_id}
-    for name, v in t.attributes.items():
-        if isinstance(v, float) and not math.isfinite(v):
-            raise ValueError(f"non-finite value for attribute {name!r}")
-        obj[name] = v
-    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+    return json.dumps(
+        {"ts": t.timestamp, "src": t.source_id, **t.attributes},
+        separators=(",", ":"),
+        allow_nan=False,
+    )
 
 
 def decode_tuple(line: str) -> StreamTuple:
     """Decode one NDJSON line into a StreamTuple.
 
-    Raises TupleDecodeError for malformed JSON, missing/ill-typed reserved
-    keys, non-atomic attribute values, or a tuple with no attributes.
+    Raises TupleDecodeError for malformed JSON, a line that is not an object
+    with ``ts``, or anything StreamTuple rejects.
     """
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise TupleDecodeError(f"invalid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise TupleDecodeError("tuple line must be a JSON object")
-    if "ts" not in obj:
-        raise TupleDecodeError("missing reserved key 'ts'")
+    if not isinstance(obj, dict) or "ts" not in obj:
+        raise TupleDecodeError("tuple line must be a JSON object with 'ts'")
     ts = obj.pop("ts")
     src = obj.pop("src", "")
-    if not isinstance(ts, int) or isinstance(ts, bool):
-        raise TupleDecodeError(f"'ts' must be integer milliseconds, got {ts!r}")
-    if not isinstance(src, str):
-        raise TupleDecodeError(f"'src' must be a string, got {src!r}")
-    attributes: dict[str, Value] = {}
-    for name, v in obj.items():
-        if isinstance(v, bool) or not isinstance(v, (int, float, str)):
-            raise TupleDecodeError(f"attribute {name!r} has non-atomic value {v!r}")
-        if isinstance(v, float) and not math.isfinite(v):
-            raise TupleDecodeError(f"attribute {name!r} is non-finite")
-        attributes[name] = v
-    if not attributes:
-        raise TupleDecodeError("tuple carries no attributes")
     try:
-        return StreamTuple(timestamp=ts, attributes=attributes, source_id=src)
+        return StreamTuple(ts, obj, src)
     except ValueError as exc:
         raise TupleDecodeError(str(exc)) from None
-

@@ -208,7 +208,6 @@ class StageStats:
     kind: str
     tuples_in: int
     tuples_out: int
-    triggers_fired: int
     late_dropped: int
 
 
@@ -397,7 +396,6 @@ class Pipeline:
                     kind="fetch",
                     tuples_in=self._fetch.tuples_in,
                     tuples_out=self._fetch.tuples_out,
-                    triggers_fired=0,
                     late_dropped=0,
                 )
             )
@@ -409,7 +407,6 @@ class Pipeline:
                     kind="operator",
                     tuples_in=m.tuples_in,
                     tuples_out=m.results_emitted,
-                    triggers_fired=m.results_emitted,
                     late_dropped=m.late_dropped,
                 )
             )

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .model import TimeUnit, to_millis
@@ -412,11 +412,7 @@ class Catalog:
     """
 
     stream_queues: frozenset[str] = frozenset()
-    series_attributes: Mapping[tuple[str, str, str], frozenset[str]] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.series_attributes is None:
-            object.__setattr__(self, "series_attributes", {})
+    series_attributes: Mapping[tuple[str, str, str], frozenset[str]] = field(default_factory=dict)
 
     @property
     def providers(self) -> frozenset[str]:

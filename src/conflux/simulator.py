@@ -26,7 +26,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Protocol
 
-from .broker import Broker, BrokerError, Queue, QueueConfig, QueueStats
+from .broker import Broker, Queue, QueueConfig, QueueStats
 from .clock import Clock, SystemClock, VirtualClock
 from .model import StreamTuple, TimeUnit, TupleDecodeError, decode_tuple
 
@@ -82,10 +82,15 @@ class NoisySineGen:
 
 
 def parse_generator(text: str) -> ValueGenerator:
-    """Generator spec syntax: constant:V | uniform:LO,HI | sine:BASE,AMP[,PERIOD_MS[,NOISE]]."""
+    """Generator spec syntax: constant:V | uniform:LO,HI | sine:BASE,AMP[,PERIOD_MS[,NOISE]].
+
+    Every parameter must be a finite number.
+    """
     kind, _, rest = text.partition(":")
     try:
         args = [float(a) for a in rest.split(",")] if rest else []
+        if not all(map(math.isfinite, args)):
+            raise ValueError("non-finite parameter")
         if kind == "constant" and len(args) == 1:
             return ConstantGen(args[0])
         if kind == "uniform" and len(args) == 2:
@@ -355,8 +360,11 @@ class _PublisherWorker(threading.Thread):
                 for name, batch in batches.items():
                     self.queues[name].publish_many(batch)
                     self.published += len(batch)
-        except BrokerError as exc:
-            self.error = str(exc)
+        except Exception as exc:
+            # Any failure makes the run incomplete; a dead thread must not
+            # read as a finished one.
+            logger.exception("publisher worker failed")
+            self.error = f"{type(exc).__name__}: {exc}"
 
 
 class _ConsumerWorker(threading.Thread):

@@ -141,9 +141,13 @@ def test_ingest_too_many_bad_lines(roots, tmp_path, capsys):
 
 
 def test_query_explain_prints_plan(roots, capsys):
-    assert main(["query", Q_STREAM, "--explain"]) == 0
+    # The plan is printed by `conflux explain`; `query --explain` is gone.
+    assert main(["query", Q_STREAM, "--explain"]) == 1
+    assert "unrecognized arguments: --explain" in capsys.readouterr().err
+    assert main(["explain", Q_STREAM]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert [s["kind"] for s in doc["stages"]] == ["fetch", "operator"]
+    assert doc["stages"][1]["historic"] is None
 
 
 def test_explain_subcommand_without_store(capsys):

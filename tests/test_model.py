@@ -1,9 +1,11 @@
 import json
+import tempfile
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
+from conflux.broker import Broker, QueueConfig
 from conflux.model import (
     MAX_MILLIS,
     AggregateRow,
@@ -76,8 +78,22 @@ def test_stream_tuple_validation():
         StreamTuple(timestamp=-1, attributes={"v": 1.0})
     with pytest.raises(ValueError):
         StreamTuple(timestamp=True, attributes={"v": 1.0})
-    with pytest.raises(ValueError):
-        StreamTuple(timestamp=5, attributes={})
+    for ts, attributes, src in (
+        (5, {}, ""),
+        (5, {"v": True}, ""),
+        (5, {"v": None}, ""),
+        (5, {"v": [1]}, ""),
+        (5, {"v": float("nan")}, ""),
+        (5, {"v": float("inf")}, ""),
+        (5, {"v": float("-inf")}, ""),
+        (5, {1: 1.0}, ""),
+        (5, {"v": 1.0}, 5),
+        (5, {"v": 1.0}, None),
+        (5, {"ts": 9, "v": 2.0}, ""),
+        (5, {"src": "b", "v": 2.0}, ""),
+    ):
+        with pytest.raises(ValueError):
+            StreamTuple(timestamp=ts, attributes=attributes, source_id=src)
 
 
 def test_aggregate_row_result_presence():
@@ -146,3 +162,44 @@ _tuples = st.builds(
 @given(_tuples)
 def test_tuple_codec_round_trip(t):
     assert decode_tuple(encode_tuple(t)) == t
+
+
+_any_values = st.one_of(
+    st.integers(),
+    st.floats(),
+    st.text(max_size=4),
+    st.one_of(st.booleans(), st.none(), st.lists(st.integers(), max_size=2)),
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(
+    timestamp=st.integers(min_value=0, max_value=MAX_MILLIS),
+    attributes=st.dictionaries(
+        st.one_of(st.text(max_size=4), st.text("ab", max_size=2), st.sampled_from(["ts", "src"])),
+        _any_values,
+        min_size=1,
+        max_size=2,
+    ),
+    source_id=st.text(max_size=4),
+)
+def test_type_and_layers_agree(timestamp, attributes, source_id):
+    """Every tuple the type accepts survives the codec and a spilling queue."""
+    try:
+        t = StreamTuple(timestamp, attributes, source_id)
+    except ValueError:
+        reject()
+    back = decode_tuple(encode_tuple(t))
+    assert back == t
+    assert encode_tuple(back) == encode_tuple(t)  # same order, same int/float types
+    with tempfile.TemporaryDirectory() as root:
+        broker = Broker(root)
+        try:
+            queue = broker.declare_queue(QueueConfig("q", memory_capacity=1))
+            queue.publish_many([t, t, t])
+            drained = broker.subscribe(queue).drain()
+            stats = queue.stats()
+        finally:
+            broker.shutdown()
+    assert [encode_tuple(d) for d in drained] == [encode_tuple(t)] * 3
+    assert stats.published == stats.delivered == 3

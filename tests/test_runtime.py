@@ -193,7 +193,7 @@ def _pump_virtual(op, clock, feed_plan, end_ms, step_ms=1_000):
     """Advance the clock in fixed steps, publishing due feed tuples first."""
     i = 0
     while clock.now_ms() < end_ms:
-        clock.advance_ms(step_ms)
+        clock.set_ms(clock.now_ms() + step_ms)
         while i < len(feed_plan) and feed_plan[i].timestamp <= clock.now_ms():
             yield feed_plan[i]
             i += 1

@@ -54,8 +54,9 @@ def test_parse_generator_forms():
     assert (u.low, u.high) == (1.0, 9.0)
     s = parse_generator("sine:50,20,86400000,2")
     assert (s.base, s.amplitude, s.period_ms, s.noise) == (50.0, 20.0, 86_400_000, 2.0)
-    with pytest.raises(ValueError):
-        parse_generator("triangle:1")
+    for bad in ("triangle:1", "uniform:1,inf", "constant:nan", "sine:50,-inf", "sine:50,20,1000,nan"):
+        with pytest.raises(ValueError):
+            parse_generator(bad)
 
 
 def test_thing_rngs_are_reproducible_and_distinct():
@@ -181,6 +182,17 @@ def test_real_run_small_farm_is_lossless(broker):
     assert report.throughput_tps > 0
     stats = report.queues["farm"]
     assert stats.published == stats.delivered
+
+
+def test_real_run_publisher_failure_marks_report_incomplete(broker):
+    # Samples are infinite, so every publisher thread raises on its first tick.
+    cfg = FarmConfig(
+        things=50, period_ms=10, duration_ms=200, memory_capacity=5,
+        attribute_model=(("v", UniformGen(1.0, math.inf)),),
+    )
+    report = run_farm(cfg, broker, clock=SystemClock())
+    assert report.published < 50 * 20
+    assert not report.complete
 
 
 # -- log replay -------------------------------------------------------------
