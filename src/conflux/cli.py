@@ -1,9 +1,10 @@
 """Command line entry point.
 
 Subcommands: ingest (load NDJSON/CSV histories into the store), query (run
-one continuous query under a virtual or real clock), replay (publish a
-recorded log to a queue), bench (farm load runs), explain (print the plan
-for a query without running it).
+one continuous query under a virtual or real clock, optionally over a
+replayed tuple log), bench (farm load runs), explain (print the plan for a
+query without running it). A query runs on the calling thread, by
+``Pipeline.run``, on either clock.
 
 Exit codes are a stable scripting contract: 0 success, 1 usage or query
 parse/validation error, 2 runtime failure. Store and spill roots come from
@@ -24,17 +25,16 @@ import re
 import shutil
 import sys
 import tempfile
-import threading
 from pathlib import Path
 from typing import Iterator
 
 from .broker import Broker, BrokerError
 from .clock import SystemClock, VirtualClock
 from .model import StreamTuple, TupleDecodeError, decode_tuple
-from .planner import PipelineState, PlanError, launch, plan, run_virtual
+from .planner import PipelineState, PlanError, launch, plan
 from .query import Catalog, QueryError, QuerySpec, parse_query
 from .runtime import encode_result
-from .simulator import FarmConfig, Topology, farm_config_from_dict, replay_log, run_farm
+from .simulator import FarmConfig, Topology, farm_config_from_dict, run_farm
 from .store import HistoricStore, SeriesRef, StoreError
 
 logger = logging.getLogger(__name__)
@@ -65,6 +65,16 @@ def parse_duration_ms(text: str) -> int:
     if not m:
         raise ValueError(f"bad duration: {text!r} (use e.g. 500ms, 30s, 10m, 2h, 120d)")
     return int(m.group(1)) * _DURATION_FACTORS[m.group(2)]
+
+
+def _speed(text: str) -> float:
+    """A positive replay speed factor; inf lands a whole log at the launch instant."""
+    try:
+        if float(text) > 0:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"speed must be a positive number, got {text!r}")
 
 
 def _store_root(args) -> Path | None:
@@ -223,15 +233,34 @@ def cmd_query(args) -> int:
     spec = parse_query(args.query)
     store = HistoricStore(_store_root(args))
     try:
-        catalog = _catalog_for(spec, store)
-        the_plan = plan(spec, catalog)
+        the_plan = plan(spec, _catalog_for(spec, store))
         duration_ms = parse_duration_ms(args.duration) if args.duration else None
+        feed = _load_feed(Path(args.replay)) if args.replay else []
+        if args.clock == "virtual":
+            clock, duration_ms = _virtual_start(args, spec, store, feed, duration_ms)
+        elif duration_ms is None:
+            raise CliError("real-clock runs need --duration")
+        else:
+            clock = SystemClock()
         with _broker(args) as broker:
-            if args.clock == "virtual":
-                return _run_query_virtual(args, spec, the_plan, store, broker, duration_ms)
-            return _run_query_real(args, spec, the_plan, store, broker, duration_ms)
+            pipeline = launch(
+                the_plan, broker, store, clock=clock, duration_ms=duration_ms, threaded=False
+            )
+            if pipeline.state is PipelineState.FAILED:
+                raise CliError(f"pipeline failed to start: {pipeline.cause}")
+            if args.clock == "real":
+                # Read after launch, so no replayed tuple precedes an operator's anchor.
+                feed = _rebase(feed, clock.now_ms(), args.speed)
+            try:
+                pipeline.run(feed)
+            except Exception:
+                if pipeline.state is not PipelineState.FAILED:
+                    raise
+            _stop_or_fail(pipeline)
+            logger.info("emitted %d results", _write_results(pipeline, broker, args))
     finally:
         store.close()
+    return EXIT_OK
 
 
 def _history_end(spec: QuerySpec, store: HistoricStore) -> int | None:
@@ -242,8 +271,8 @@ def _history_end(spec: QuerySpec, store: HistoricStore) -> int | None:
     return None if span is None else span[1]
 
 
-def _run_query_virtual(args, spec, the_plan, store, broker, duration_ms) -> int:
-    feed = _load_feed(Path(args.replay)) if args.replay else []
+def _virtual_start(args, spec, store, feed, duration_ms) -> tuple[VirtualClock, int]:
+    """The virtual clock's origin and the run length, derived when not given."""
     if args.start_ms is not None:
         start_ms = args.start_ms
     elif feed:
@@ -260,46 +289,20 @@ def _run_query_virtual(args, spec, the_plan, store, broker, duration_ms) -> int:
             duration_ms = (span // period + 1) * period
         else:
             raise CliError("virtual runs need --duration or --replay to bound them")
-    clock = VirtualClock(start_ms)
-    pipeline = launch(
-        the_plan, broker, store, clock=clock, duration_ms=duration_ms, threaded=False
-    )
-    if pipeline.state is PipelineState.FAILED:
-        raise CliError(f"pipeline failed to start: {pipeline.cause}")
+    return VirtualClock(start_ms), duration_ms
+
+
+def _rebase(feed: list[StreamTuple], now_ms: int, speed: float) -> list[StreamTuple]:
+    """Move a recorded log onto the real clock: the first tuple lands at now,
+    the rest at their recorded gaps divided by speed."""
+    first = feed[0].timestamp if feed else 0
     try:
-        run_virtual(pipeline, clock, feed)
-    except Exception:
-        if pipeline.state is not PipelineState.FAILED:
-            raise
-    _stop_or_fail(pipeline)
-    n = _write_results(pipeline, broker, args)
-    logger.info("emitted %d results", n)
-    return EXIT_OK
-
-
-def _run_query_real(args, spec, the_plan, store, broker, duration_ms) -> int:
-    if duration_ms is None:
-        raise CliError("real-clock runs need --duration")
-    pipeline = launch(the_plan, broker, store, clock=SystemClock(), duration_ms=duration_ms)
-    if pipeline.state is PipelineState.FAILED:
-        raise CliError(f"pipeline failed to start: {pipeline.cause}")
-    feeder: threading.Thread | None = None
-    if args.replay and the_plan.source_queue:
-        feeder = threading.Thread(
-            target=replay_log,
-            args=(Path(args.replay), broker, the_plan.source_queue),
-            kwargs={"speed": args.speed},
-            daemon=True,
-        )
-        feeder.start()
-    for op in pipeline.operators:
-        while not op.finished:
-            SystemClock().sleep_ms(50)
-    if feeder is not None:
-        feeder.join(timeout=5.0)
-    _stop_or_fail(pipeline)
-    _write_results(pipeline, broker, args)
-    return EXIT_OK
+        return [
+            dataclasses.replace(t, timestamp=now_ms + int((t.timestamp - first) / speed))
+            for t in feed
+        ]
+    except OverflowError as exc:
+        raise CliError(f"replay log does not fit the clock at --speed {speed}") from exc
 
 
 def _stop_or_fail(pipeline) -> None:
@@ -317,19 +320,6 @@ def cmd_explain(args) -> int:
     finally:
         if store is not None:
             store.close()
-
-
-# -- replay -----------------------------------------------------------------
-
-
-def cmd_replay(args) -> int:
-    path = Path(args.file)
-    if not path.is_file():
-        raise CliError(f"no such file: {path}")
-    with _broker(args) as broker:
-        report = replay_log(path, broker, args.queue, speed=args.speed)
-        print(json.dumps({"published": report.published, "skipped": report.skipped}))
-    return EXIT_OK
 
 
 # -- bench ------------------------------------------------------------------
@@ -427,7 +417,10 @@ def build_parser() -> _Parser:
     p.add_argument("query", help="query text")
     p.add_argument("--clock", choices=("virtual", "real"), default="virtual")
     p.add_argument("--replay", help="NDJSON tuple log replayed as the live stream")
-    p.add_argument("--speed", type=float, default=None, help="replay speed factor (real clock)")
+    p.add_argument(
+        "--speed", type=_speed, default=1.0,
+        help="real-clock replay speed factor: recorded gaps divided by it (inf: all at once)",
+    )
     p.add_argument("--duration", help="run length, e.g. 30s, 10m")
     p.add_argument("--start-ms", type=int, default=None, help="virtual clock origin")
     p.add_argument("--output", help="results NDJSON path (default stdout)")
@@ -440,13 +433,6 @@ def build_parser() -> _Parser:
     p.add_argument("query")
     p.add_argument("--store-root")
     p.set_defaults(func=cmd_explain)
-
-    p = sub.add_parser("replay", help="publish a recorded tuple log to a queue")
-    p.add_argument("file")
-    p.add_argument("--queue", required=True)
-    p.add_argument("--speed", type=float, default=None)
-    p.add_argument("--spill-root")
-    p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("bench", help="run the load farm and report throughput")
     p.add_argument("--config", help="farm config JSON file")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -87,6 +88,14 @@ class Interval:
             raise ValueError(f"interval start {self.start} exceeds end {self.end}")
 
 
+def _too_many_digits(v: int) -> bool:
+    """True if ``str(v)`` would exceed the interpreter's int-to-str digit limit."""
+    limit = sys.get_int_max_str_digits()
+    # An int of more than `limit` digits has more than 3 * limit bits, so the
+    # bit length screens out every ordinary int before any power is built.
+    return limit > 0 and v.bit_length() > 3 * limit and abs(v) >= 10**limit
+
+
 @dataclass(frozen=True)
 class StreamTuple:
     """One timestamped observation: source id plus attribute-value pairs.
@@ -98,7 +107,8 @@ class StreamTuple:
     * the source id is a str;
     * there is at least one attribute;
     * every attribute name is a str outside RESERVED_KEYS;
-    * every value is an int (not bool), a str or a finite float.
+    * every value is an int (not bool) that ``str`` can convert, a str or a
+      finite float.
 
     So every tuple that exists round-trips unchanged through the NDJSON
     codec, a spilling broker queue and the store. Attribute order is
@@ -126,6 +136,8 @@ class StreamTuple:
                     raise ValueError(f"attribute {name!r} is non-finite")
             elif isinstance(v, bool) or not isinstance(v, (int, str)):
                 raise ValueError(f"attribute {name!r} has non-atomic value {v!r}")
+            elif isinstance(v, int) and _too_many_digits(v):
+                raise ValueError(f"attribute {name!r} has more digits than JSON can write")
 
 
 @dataclass(frozen=True)
@@ -167,12 +179,12 @@ def encode_tuple(t: StreamTuple) -> str:
 def decode_tuple(line: str) -> StreamTuple:
     """Decode one NDJSON line into a StreamTuple.
 
-    Raises TupleDecodeError for malformed JSON, a line that is not an object
-    with ``ts``, or anything StreamTuple rejects.
+    Raises TupleDecodeError for malformed or too deeply nested JSON, a line
+    that is not an object with ``ts``, or anything StreamTuple rejects.
     """
     try:
         obj = json.loads(line)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise TupleDecodeError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict) or "ts" not in obj:
         raise TupleDecodeError("tuple line must be a JSON object with 'ts'")

@@ -11,9 +11,12 @@ Plan ids hash the canonical query text, so planning the same query twice
 yields the same id, queue names and JSON rendering. Planning is pure; the
 launcher rolls partially started pipelines back to nothing.
 
-On either clock a pipeline runs by ``Pipeline.pump``, one step of every
-stage: the caller pumps on a virtual clock, one driver thread per pipeline on
-a real clock. A stage that raises fails the pipeline, with the error as cause.
+On either clock a pipeline runs by ``Pipeline.run``, the one loop that
+publishes a feed, pumps every stage (``Pipeline.pump``) and waits for the next
+due instant: a virtual clock jumps there, a real clock sleeps. The caller runs
+it, or ``launch(threaded=True)`` runs it on a background thread for producers
+on other threads. A stage that raises fails the pipeline, with the error as
+cause.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import hashlib
 import json
 import logging
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
@@ -34,7 +38,8 @@ from .store import HistoricStore, SeriesRef
 
 logger = logging.getLogger(__name__)
 
-# Longest a real-clock driver sleeps before it pumps newly arrived tuples.
+# Longest a real-clock ``run`` sleeps before it pumps tuples that other
+# threads published.
 POLL_S = 0.1
 # Longest ``Pipeline.stop`` waits for the driver thread's last pump.
 DRAIN_TIMEOUT_S = 10.0
@@ -245,7 +250,7 @@ class _FetchRunner:
 
 
 class Pipeline:
-    """A launched plan: owns subscriptions, connections and its driver thread."""
+    """A launched plan: owns subscriptions, connections and any driver thread."""
 
     def __init__(
         self,
@@ -293,7 +298,7 @@ class Pipeline:
         self.state = PipelineState.RUNNING
         if threaded:
             self._driver = threading.Thread(
-                target=self._drive, name=f"pipeline-{self.plan.id}", daemon=True
+                target=self._run_logged, name=f"pipeline-{self.plan.id}", daemon=True
             )
             self._driver.start()
         return self
@@ -363,27 +368,66 @@ class Pipeline:
         while self.pump():
             pass
 
-    def _pump_logged(self) -> None:
-        """``pump_until_quiet`` that logs a stage failure instead of raising it."""
-        try:
+    def run(self, feed: list[StreamTuple] | None = None, end_ms: int | None = None) -> None:
+        """The driver loop on either clock: publish due feed, pump, wait.
+
+        Each pass publishes every feed tuple stamped at or before now to the
+        plan's source queue, pumps until quiet (a stage failure raises), then
+        waits for the next due instant: the next feed timestamp or the next
+        trigger of an unfinished operator. Feed published at an instant is
+        admitted before a trigger due then fires. A virtual clock jumps to
+        that instant; there an unbounded operator counts only up to
+        ``end_ms``. A real clock waits at most ``POLL_S``, so tuples that
+        other threads publish are pumped too.
+
+        Returns after the pass that follows ``stop``, when nothing is due,
+        or when the next instant is past ``end_ms``. Once every operator has
+        finished, the rest of the feed is published at once and pumped.
+        The feed must be sorted by timestamp.
+        """
+        feed = feed or []
+        source_name = self.plan.source_queue
+        if feed and source_name is None:
+            raise PlanError("feed given but the plan has no stream source")
+        source = self.broker.get_queue(source_name) if feed else None
+        virtual = isinstance(self.clock, VirtualClock)
+        i = 0
+        while True:
+            now = self.clock.now_ms()
+            j = bisect_right(feed, now, lo=i, key=lambda t: t.timestamp)
+            if j > i:
+                source.publish_many(feed[i:j])
+                i = j
             self.pump_until_quiet()
+            if self._stop.is_set():
+                return
+            pending = [op for op in self.operators if not op.finished]
+            if not pending:
+                if i < len(feed):
+                    source.publish_many(feed[i:])
+                    self.pump_until_quiet()
+                return
+            due = [feed[i].timestamp] if i < len(feed) else []
+            for op in pending:
+                nxt = op.next_trigger_ms
+                if not virtual or op.end_ms is not None or (end_ms is not None and nxt <= end_ms):
+                    due.append(nxt)
+            if not due:
+                return
+            t = min(due)
+            if end_ms is not None and t > end_ms:
+                return
+            if virtual:
+                self.clock.set_ms(t)
+            else:
+                self._stop.wait(min(max((t - self.clock.now_ms()) / 1000.0, 0.0), POLL_S))
+
+    def _run_logged(self) -> None:
+        """``run`` that logs a stage failure instead of raising it."""
+        try:
+            self.run()
         except Exception:
             logger.exception("pipeline %s failed", self.plan.id)
-
-    def _drive(self) -> None:
-        """Real-clock driver: pump, then sleep until a trigger is due or POLL_S passes.
-
-        A trigger's pump drains the fetch queues first, so every tuple
-        published before a trigger is admitted before it fires. Ends after
-        the pump that follows ``stop``, or once every operator has finished.
-        """
-        while True:
-            self._pump_logged()
-            pending = [op.next_trigger_ms for op in self.operators if not op.finished]
-            if self._stop.is_set() or not pending:
-                return
-            wait_s = (min(pending) - self.clock.now_ms()) / 1000.0
-            self._stop.wait(min(max(wait_s, 0.0), POLL_S))
 
     # -- monitoring -------------------------------------------------------
 
@@ -428,8 +472,8 @@ class Pipeline:
     # -- shutdown ---------------------------------------------------------
 
     def stop(self) -> PipelineStatus:
-        """Graceful stop: a last pump (by the driver thread, if there is one,
-        within ``DRAIN_TIMEOUT_S``), then every subscription and connection is
+        """Graceful stop: a last pass of ``run`` (by the driver thread, if there
+        is one, within ``DRAIN_TIMEOUT_S``), then every subscription and connection is
         closed. A failed pipeline keeps FAILED and its cause but is closed too,
         which frees the source queue's consumer slot for the next launch.
         """
@@ -437,7 +481,7 @@ class Pipeline:
             if self.state is PipelineState.RUNNING:
                 self._stop.set()
                 if self._driver is None:
-                    self._pump_logged()
+                    self._run_logged()
                 else:
                     self._driver.join(timeout=DRAIN_TIMEOUT_S)
                 if self.state is PipelineState.RUNNING:
@@ -468,45 +512,17 @@ def run_virtual(
     feed: list[StreamTuple] | None = None,
     end_ms: int | None = None,
 ) -> None:
-    """Drive a launched unthreaded pipeline on virtual time until done.
+    """``Pipeline.run`` for a launched unthreaded pipeline on its virtual clock.
 
     The feed must be sorted by timestamp; each tuple is published to the
     plan's source queue when the clock reaches its timestamp, before any
-    trigger due at the same instant fires. The loop ends when every bounded
+    trigger due at the same instant fires. The run ends when every bounded
     operator has fired its last trigger and the feed is exhausted.
     """
     if pipeline.state is not PipelineState.RUNNING:
         raise PlanError(f"pipeline is {pipeline.state.value}, not running")
     if pipeline._driver is not None:
         raise PlanError("run_virtual needs a pipeline launched with threaded=False")
-    feed = list(feed or [])
-    source_name = pipeline.plan.source_queue
-    if feed and source_name is None:
-        raise PlanError("feed given but the plan has no stream source")
-    source = pipeline.broker.get_queue(source_name) if source_name else None
-    i = 0
-    while True:
-        candidates = []
-        if i < len(feed):
-            candidates.append(feed[i].timestamp)
-        for op in pipeline.operators:
-            if op.finished:
-                continue
-            nxt = op.next_trigger_ms
-            if op.end_ms is not None or (end_ms is not None and nxt <= end_ms):
-                # Unbounded operators with no run horizon only advance while
-                # feed remains; their triggers fire when pumping catches up.
-                candidates.append(nxt)
-        if not candidates:
-            break
-        t = min(candidates)
-        if end_ms is not None and t > end_ms:
-            break
-        if t > clock.now_ms():
-            clock.set_ms(t)
-        now = clock.now_ms()
-        while i < len(feed) and feed[i].timestamp <= now:
-            assert source is not None
-            source.publish(feed[i])
-            i += 1
-        pipeline.pump_until_quiet()
+    if clock is not pipeline.clock:
+        raise PlanError("run_virtual needs the clock the pipeline was launched with")
+    pipeline.run(feed, end_ms)

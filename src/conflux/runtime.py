@@ -192,7 +192,6 @@ class OperatorMetrics:
     late_dropped: int = 0
     behind_watermark: int = 0
     non_numeric_skipped: int = 0
-    max_trigger_lag_ms: int = 0
     buffered: int = 0
 
 
@@ -315,9 +314,6 @@ class Operator:
             logger.warning("operator %s stopped: %s", self.name, self.stop_reason)
             return
         self.metrics.results_emitted += 1
-        lag = self.clock.now_ms() - trigger_time
-        if lag > self.metrics.max_trigger_lag_ms:
-            self.metrics.max_trigger_lag_ms = lag
 
     def step(self) -> int:
         """One co-operative iteration: drain, admit, fire everything due.

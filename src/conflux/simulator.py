@@ -1,4 +1,4 @@
-"""Load farm of simulated devices plus log replay.
+"""Load farm of simulated devices.
 
 Each simulated thing publishes one tuple per period with attributes drawn
 from per-thing seeded generators, so a farm run is reproducible down to the
@@ -23,12 +23,11 @@ import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Protocol
 
 from .broker import Broker, Queue, QueueConfig, QueueStats
 from .clock import Clock, SystemClock, VirtualClock
-from .model import StreamTuple, TimeUnit, TupleDecodeError, decode_tuple
+from .model import StreamTuple, TimeUnit
 
 logger = logging.getLogger(__name__)
 
@@ -456,64 +455,3 @@ def _run_real(
         queues={name: q.stats() for name, q in queues.items()},
         complete=not errors,
     )
-
-
-# -- log replay -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReplayReport:
-    published: int
-    skipped: int
-
-
-def replay_log(
-    path: Path | str,
-    broker: Broker,
-    queue: str,
-    speed: float | None = None,
-    clock: Clock | None = None,
-) -> ReplayReport:
-    """Publish a recorded NDJSON tuple log to a queue.
-
-    speed=None publishes as fast as possible; speed=s replays the log's
-    inter-arrival gaps divided by s on the given clock. Malformed lines are
-    skipped and counted, never fatal.
-    """
-    clock = clock if clock is not None else SystemClock()
-    q = broker.declare_queue(QueueConfig(name=queue))
-    published = 0
-    skipped = 0
-    first_ts: int | None = None
-    wall_start = clock.now_ms()
-    batch: list[StreamTuple] = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                t = decode_tuple(line)
-            except TupleDecodeError as exc:
-                skipped += 1
-                logger.debug("replay skipping line: %s", exc)
-                continue
-            if speed is None or math.isinf(speed):
-                batch.append(t)
-                if len(batch) >= 4096:
-                    q.publish_many(batch)
-                    published += len(batch)
-                    batch.clear()
-                continue
-            if first_ts is None:
-                first_ts = t.timestamp
-            target = wall_start + int((t.timestamp - first_ts) / speed)
-            now = clock.now_ms()
-            if target > now:
-                clock.sleep_ms(target - now)
-            q.publish(t)
-            published += 1
-    if batch:
-        q.publish_many(batch)
-        published += len(batch)
-    return ReplayReport(published=published, skipped=skipped)

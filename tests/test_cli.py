@@ -1,6 +1,7 @@
 import json
 import tempfile
 import threading
+import time
 
 import pytest
 
@@ -232,18 +233,63 @@ def test_query_real_stage_failure_exits_2(roots, capsys, monkeypatch):
     assert "pipeline failed: RuntimeError: evaluation exploded" in capsys.readouterr().err
 
 
+EVERY_SECOND_MAX = (
+    "EVERY 1 seconds compute the max value of download_speed of the last 1 seconds "
+    "from streaming rabbitmq queue neubotspeed"
+)
+
+
+def _real_replay(tmp_path, duration, speed):
+    """A real-clock query over 30 tuples at 1 s gaps plus one malformed line."""
+    log = tmp_path / "live.ndjson"
+    _write_ndjson(log, _speed_tuples(30), junk=1)
+    out = tmp_path / "results.ndjson"
+    rc = main(
+        ["query", EVERY_SECOND_MAX, "--clock", "real", "--duration", duration,
+         "--replay", str(log), "--speed", speed, "--output", str(out)]
+    )
+    return rc, [json.loads(line) for line in out.read_text().splitlines()]
+
+
+def test_query_real_replay_is_rebased_and_counted(roots, tmp_path, capsys):
+    # At 10x the 29 s log spans 2.9 s from launch: 10 tuples per 1 s window.
+    rc, docs = _real_replay(tmp_path, "3s", "10")
+    assert rc == 0
+    assert len(docs) == 3
+    assert sum(d["live_count"] for d in docs) == 30
+
+
+def test_query_real_replay_ends_with_its_duration(roots, tmp_path, capsys):
+    # At 2x the log spans 14.5 s; the run ends after its 2 s duration.
+    begin = time.monotonic()
+    rc, docs = _real_replay(tmp_path, "2s", "2")
+    assert time.monotonic() - begin < 5.0
+    assert rc == 0
+    assert len(docs) == 2
+
+
+def test_query_real_replay_infinite_speed_lands_at_launch(roots, tmp_path, capsys):
+    rc, docs = _real_replay(tmp_path, "1s", "inf")
+    assert rc == 0
+    assert [d["live_count"] for d in docs] == [30]
+
+
+@pytest.mark.parametrize("speed", ["0", "-2", "nan", "-inf", "fast"])
+def test_query_speed_must_be_positive(roots, speed, capsys):
+    rc = main(["query", EVERY_SECOND_MAX, "--clock", "real", "--duration", "1s",
+               f"--speed={speed}"])
+    assert rc == 1
+    assert "speed must be a positive number" in capsys.readouterr().err
+
+
+def test_replay_subcommand_is_gone(roots, capsys):
+    assert main(["replay", "log.ndjson", "--queue", "q"]) == 1
+
+
 def test_query_unknown_series_is_plan_error(roots, capsys):
     rc = main(["query", NEUBOT_SPEED_MEAN, "--duration", "60s", "--store-root", str(roots)])
     assert rc == 1
     assert "plan error" in capsys.readouterr().err
-
-
-def test_replay_subcommand_reports_counts(roots, tmp_path, capsys):
-    log = tmp_path / "r.ndjson"
-    _write_ndjson(log, _speed_tuples(30), junk=1)
-    assert main(["replay", str(log), "--queue", "q1"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc == {"published": 30, "skipped": 1}
 
 
 def test_spill_root_removed_only_when_made_by_the_cli(tmp_path, monkeypatch, capsys):
@@ -256,16 +302,13 @@ def test_spill_root_removed_only_when_made_by_the_cli(tmp_path, monkeypatch, cap
     _write_ndjson(log, _speed_tuples(240))
     out = tmp_path / "results.ndjson"
     assert main(["query", Q_STREAM, "--replay", str(log), "--output", str(out)]) == 0
-    assert main(["replay", str(log), "--queue", "q1"]) == 0
+    bench = ["bench", "--clock", "virtual", "--duration", "1s"]
+    assert main(bench) == 0
     assert list(scratch.glob("conflux-spill-*")) == []
     given = tmp_path / "given"
     given.mkdir()
-    assert main(["replay", str(log), "--queue", "q1", "--spill-root", str(given)]) == 0
+    assert main([*bench, "--spill-root", str(given)]) == 0
     assert given.is_dir()
-
-
-def test_replay_missing_file(roots, capsys):
-    assert main(["replay", str(roots / "nope.ndjson"), "--queue", "q"]) == 2
 
 
 def test_bench_virtual_matrix(roots, tmp_path, capsys):

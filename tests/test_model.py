@@ -74,6 +74,8 @@ def test_interval_rejects_inverted():
 def test_stream_tuple_validation():
     t = StreamTuple(timestamp=5, attributes={"v": 1.0}, source_id="a")
     assert t.attributes["v"] == 1.0
+    # Too large for a float, yet still writable as JSON.
+    assert StreamTuple(timestamp=5, attributes={"v": 10**400}).attributes["v"] == 10**400
     with pytest.raises(ValueError):
         StreamTuple(timestamp=-1, attributes={"v": 1.0})
     with pytest.raises(ValueError):
@@ -91,6 +93,7 @@ def test_stream_tuple_validation():
         (5, {"v": 1.0}, None),
         (5, {"ts": 9, "v": 2.0}, ""),
         (5, {"src": "b", "v": 2.0}, ""),
+        (5, {"v": 10**5000}, ""),  # more digits than int-to-str allows
     ):
         with pytest.raises(ValueError):
             StreamTuple(timestamp=ts, attributes=attributes, source_id=src)
@@ -133,6 +136,8 @@ def test_decode_rejects_malformed():
         '{"ts":1,"src":"a","v":[1]}',
         '{"ts":1,"src":"a","v":true}',
         '{"ts":1,"src":2,"v":1}',
+        "[" * 100_000,
+        '{"ts":1,"v":' + "[" * 100_000 + "}",
     ):
         with pytest.raises(TupleDecodeError):
             decode_tuple(bad)

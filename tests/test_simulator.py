@@ -1,7 +1,6 @@
 import json
 import math
 import random
-import time
 
 import pytest
 
@@ -17,7 +16,6 @@ from conflux.simulator import (
     farm_config_from_dict,
     generate_tuple,
     parse_generator,
-    replay_log,
     run_farm,
     thing_rng,
 )
@@ -193,61 +191,3 @@ def test_real_run_publisher_failure_marks_report_incomplete(broker):
     report = run_farm(cfg, broker, clock=SystemClock())
     assert report.published < 50 * 20
     assert not report.complete
-
-
-# -- log replay -------------------------------------------------------------
-
-
-def _write_log(path, tuples, junk_lines=0):
-    with open(path, "w", encoding="utf-8") as f:
-        for t in tuples:
-            f.write(encode_tuple(t) + "\n")
-        for i in range(junk_lines):
-            f.write(f"not json {i}\n")
-
-
-def test_replay_counts_and_skips(tmp_path, broker):
-    cfg = FarmConfig(things=2, period_ms=100, duration_ms=1_000, seed=5)
-    _virtual_report(broker, cfg, consume=False)
-    tuples = broker.subscribe("farm").drain()
-    log = tmp_path / "log.ndjson"
-    _write_log(log, tuples, junk_lines=3)
-    report = replay_log(log, broker, "replayed")
-    assert report.published == 20
-    assert report.skipped == 3
-    got = broker.subscribe("replayed").drain()
-    assert [t.timestamp for t in got] == [t.timestamp for t in tuples]
-
-
-def test_replay_full_speed_ignores_gaps(tmp_path, broker):
-    cfg = FarmConfig(things=1, period_ms=60_000, duration_ms=600_000, seed=2)
-    _virtual_report(broker, cfg, consume=False)
-    log = tmp_path / "log.ndjson"
-    _write_log(log, broker.subscribe("farm").drain())
-    begin = time.monotonic()
-    report = replay_log(log, broker, "fast", speed=math.inf)
-    assert time.monotonic() - begin < 1.0
-    assert report.published == 10
-
-
-def test_replay_paced_by_speed(tmp_path, broker):
-    cfg = FarmConfig(things=1, period_ms=50, duration_ms=500, seed=2)
-    _virtual_report(broker, cfg, consume=False)
-    log = tmp_path / "log.ndjson"
-    _write_log(log, broker.subscribe("farm").drain())
-    # 450 ms of log at 3x replays in about 150 ms.
-    begin = time.monotonic()
-    replay_log(log, broker, "paced", speed=3.0)
-    elapsed = time.monotonic() - begin
-    assert 0.1 <= elapsed < 1.0
-
-
-def test_replay_on_virtual_clock_is_instant(tmp_path, broker):
-    cfg = FarmConfig(things=1, period_ms=60_000, duration_ms=6_000_000, seed=2)
-    _virtual_report(broker, cfg, consume=False)
-    log = tmp_path / "log.ndjson"
-    _write_log(log, broker.subscribe("farm").drain())
-    begin = time.monotonic()
-    report = replay_log(log, broker, "virt", speed=1.0, clock=VirtualClock(0))
-    assert time.monotonic() - begin < 1.0
-    assert report.published == 100

@@ -216,6 +216,21 @@ def test_torn_segment_line_is_counted(tmp_path):
     s2.close()
 
 
+def test_deeply_nested_segment_line_is_counted(tmp_path):
+    root = tmp_path / "root"
+    s = HistoricStore(root)
+    s.register_series(REF)
+    s.ingest(REF, [_t(0, 1.0), _t(1_000, 2.0)])
+    s.close()
+    (segment,) = (root / REF.provider / REF.database / REF.series).glob("*.ndjson")
+    with open(segment, "a", encoding="utf-8") as f:
+        f.write('{"ts":2000,"v":' + "[" * 100_000 + "}\n")
+    s2 = HistoricStore(root)
+    d = s2.diagnostics(REF)
+    assert (d.tuples, d.bad_lines) == (2, 1)
+    s2.close()
+
+
 def test_attributes_and_time_range(store):
     assert store.time_range(REF) is None
     store.ingest(REF, [StreamTuple(timestamp=5, attributes={"v": 1.0, "w": "x"}, source_id="")])
