@@ -33,10 +33,6 @@ class Partial:
         if self.count == 0 and self.acc != 0.0:
             raise ValueError("empty partial must have acc == 0.0")
 
-    @property
-    def is_empty(self) -> bool:
-        return self.count == 0
-
     def finalize(self) -> float | None:
         """Collapse to the window result; None when no values contributed."""
         if self.count == 0:

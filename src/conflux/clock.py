@@ -1,4 +1,4 @@
-"""Time sources for operators, pipelines, and the load farm.
+"""Time sources for pipelines and the load farm (operators are told the time).
 
 Every component that schedules work takes a clock so that correctness tests
 run on virtual time (instantaneous and deterministic) while throughput tests

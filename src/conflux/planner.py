@@ -11,12 +11,15 @@ Plan ids hash the canonical query text, so planning the same query twice
 yields the same id, queue names and JSON rendering. Planning is pure; the
 launcher rolls partially started pipelines back to nothing.
 
-On either clock a pipeline runs by ``Pipeline.run``, the one loop that
-publishes a feed, pumps every stage (``Pipeline.pump``) and waits for the next
-due instant: a virtual clock jumps there, a real clock sleeps. The caller runs
-it, or ``launch(threaded=True)`` runs it on a background thread for producers
-on other threads. A stage that raises fails the pipeline, with the error as
-cause.
+The pipeline is the one clock reader. Launch reads it once and anchors
+every operator of the plan at that instant, so their windows line up. On
+either clock a pipeline runs by ``Pipeline.run``, the one loop that reads the
+clock once per pass, publishes the feed due by then, pumps every stage at that
+same instant (``Pipeline.pump``) and waits for the next due instant: a virtual
+clock jumps there, a real clock sleeps. The caller runs it, or
+``launch(threaded=True)`` runs it on a background thread for producers on
+other threads. Operators catch nothing, so a stage that raises (a store
+error, a closed result queue) fails the pipeline, with the error as cause.
 """
 
 from __future__ import annotations
@@ -284,17 +287,16 @@ class Pipeline:
         return queue
 
     def start(self, threaded: bool = True) -> "Pipeline":
-        """Wire and start every stage, rolling back to nothing on failure."""
+        """Wire every stage anchored at one clock reading, rolling back to
+        nothing on failure."""
         try:
-            self._wire()
+            self._wire(self.clock.now_ms())
         except Exception as exc:
             self._rollback()
             self.state = PipelineState.FAILED
             self.cause = str(exc)
             logger.warning("pipeline %s failed to start: %s", self.plan.id, exc)
             return self
-        for op in self.operators:
-            op.start(self.duration_ms)
         self.state = PipelineState.RUNNING
         if threaded:
             self._driver = threading.Thread(
@@ -303,7 +305,7 @@ class Pipeline:
             self._driver.start()
         return self
 
-    def _wire(self) -> None:
+    def _wire(self, anchor: int) -> None:
         for config in self.plan.queues:
             self._declare(config)
         source = self.plan.source_queue
@@ -326,7 +328,8 @@ class Pipeline:
                         fetch=self.broker.subscribe(stage.input_queue),
                         sink=self.broker.get_queue(stage.sink_queue),
                         historic=historic,
-                        clock=self.clock,
+                        anchor=anchor,
+                        duration_ms=self.duration_ms,
                     )
                 )
 
@@ -343,42 +346,51 @@ class Pipeline:
 
     # -- driving ----------------------------------------------------------
 
-    def pump(self) -> int:
-        """One co-operative pass over all stages; returns how much moved.
+    def pump(self, now: int | None = None) -> int:
+        """One co-operative pass over all stages, every operator stepped at
+        instant ``now`` (one clock reading when not given); returns how much
+        moved.
 
-        A stage that raises fails the pipeline: the state becomes FAILED
-        with the error as its cause, every operator stops, and the error
-        propagates to the caller.
+        This is the one place a stage failure lands: the state becomes
+        FAILED with the error as its cause, every operator stops, and the
+        error propagates to the caller.
         """
+        if now is None:
+            now = self.clock.now_ms()
         moved = 0
         try:
             if self._fetch is not None:
                 moved += self._fetch.step()
             for op in self.operators:
-                moved += op.step()
+                moved += op.step(now)
         except Exception as exc:
             self.state = PipelineState.FAILED
             self.cause = f"{type(exc).__name__}: {exc}"
             for op in self.operators:
-                op.stop(self.cause)
+                op.stop()
             raise
         return moved
 
-    def pump_until_quiet(self) -> None:
-        while self.pump():
+    def pump_until_quiet(self, now: int | None = None) -> None:
+        """Pump at one instant (one clock reading when not given) until nothing moves."""
+        if now is None:
+            now = self.clock.now_ms()
+        while self.pump(now):
             pass
 
     def run(self, feed: list[StreamTuple] | None = None, end_ms: int | None = None) -> None:
         """The driver loop on either clock: publish due feed, pump, wait.
 
-        Each pass publishes every feed tuple stamped at or before now to the
-        plan's source queue, pumps until quiet (a stage failure raises), then
-        waits for the next due instant: the next feed timestamp or the next
-        trigger of an unfinished operator. Feed published at an instant is
-        admitted before a trigger due then fires. A virtual clock jumps to
-        that instant; there an unbounded operator counts only up to
-        ``end_ms``. A real clock waits at most ``POLL_S``, so tuples that
-        other threads publish are pumped too.
+        Each pass reads the clock once, publishes every feed tuple stamped
+        at or before that ``now`` to the plan's source queue, pumps until
+        quiet at the same ``now`` (a stage failure raises), then waits for
+        the next due instant: the next feed timestamp or the next trigger of
+        an unfinished operator. Feed and triggers share one reading, so feed
+        published at an instant is admitted before a trigger due then fires,
+        on either clock. A virtual clock jumps to that instant; there an
+        unbounded operator counts only up to ``end_ms``. A real clock waits
+        at most ``POLL_S``, so tuples that other threads publish are pumped
+        too.
 
         Returns after the pass that follows ``stop``, when nothing is due,
         or when the next instant is past ``end_ms``. Once every operator has
@@ -398,14 +410,14 @@ class Pipeline:
             if j > i:
                 source.publish_many(feed[i:j])
                 i = j
-            self.pump_until_quiet()
+            self.pump_until_quiet(now)
             if self._stop.is_set():
                 return
             pending = [op for op in self.operators if not op.finished]
             if not pending:
                 if i < len(feed):
                     source.publish_many(feed[i:])
-                    self.pump_until_quiet()
+                    self.pump_until_quiet(now)
                 return
             due = [feed[i].timestamp] if i < len(feed) else []
             for op in pending:
@@ -420,7 +432,7 @@ class Pipeline:
             if virtual:
                 self.clock.set_ms(t)
             else:
-                self._stop.wait(min(max((t - self.clock.now_ms()) / 1000.0, 0.0), POLL_S))
+                self._stop.wait(min(max((t - now) / 1000.0, 0.0), POLL_S))
 
     def _run_logged(self) -> None:
         """``run`` that logs a stage failure instead of raising it."""

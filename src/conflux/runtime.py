@@ -15,27 +15,26 @@ Window strategies:
 Tumbling windows are sliding windows with duration equal to the trigger
 period; the planner normalizes them, so no third kind exists here.
 
-An operator is driven, never threaded itself: each ``step`` drains its
-fetch subscription, admits tuples to the buffer, fires due triggers and
-emits results to its sink queue. The pipeline that owns it calls ``step``
-on either clock. Operators interact only through broker queues.
+An operator never reads a clock and never catches an error. It is built
+anchored at one instant, and each ``step(now)`` drains its fetch
+subscription, admits tuples to the buffer, fires the triggers due at or
+before ``now`` and emits results to its sink queue. The pipeline that owns
+it reads the clock, passes the same ``now`` to every operator, and is the
+one place a stage failure lands. Operators interact only through broker
+queues.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from . import aggregates
-from .broker import ClosedQueueError, Queue, Subscription
-from .clock import Clock, SystemClock
+from .broker import Queue, Subscription
 from .model import Interval, StreamTuple, TimeUnit, is_numeric_value
 from .query import AggregationFunction, Frequency, WindowKind, WindowSpec
 from .store import Connection, HistoricQuery
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -198,8 +197,12 @@ class OperatorMetrics:
 class Operator:
     """One scheduled aggregation stage between a fetch queue and a sink queue.
 
-    ``anchor`` is also the watermark: the operator's start instant, so
-    everything stored before launch is history and everything after is live.
+    A plain state machine: it never reads a clock. It is built anchored at
+    ``anchor``, which is also the watermark (the pipeline's launch instant,
+    so everything stored before it is history and everything after is
+    live), and ``step`` is told the current instant by its caller. A
+    bounded operator fires its last trigger at or before
+    ``anchor + duration_ms``.
     """
 
     def __init__(
@@ -208,64 +211,35 @@ class Operator:
         config: OperatorConfig,
         fetch: Subscription,
         sink: Queue,
-        historic: Connection | None = None,
-        clock: Clock | None = None,
+        historic: Connection | None,
+        anchor: int,
+        duration_ms: int | None = None,
     ):
         self.name = name
         self.config = config
         self.fetch = fetch
         self.sink = sink
         self.historic = historic
-        self.clock = clock if clock is not None else SystemClock()
+        self.anchor = anchor
+        self.next_trigger_ms = anchor + config.trigger.period_ms
+        self.end_ms = None if duration_ms is None else anchor + duration_ms
         self.metrics = OperatorMetrics()
         self._buffer: list[StreamTuple] = []
-        self._started = False
         self._stopped = False
-        self.stop_reason: str | None = None
-        self.anchor = 0
-        self._next_trigger = 0
-        self._end: int | None = None
 
     # -- lifecycle --------------------------------------------------------
-
-    def start(self, duration_ms: int | None = None) -> None:
-        """Pin the anchor (the watermark) and first trigger to the current instant."""
-        if self._started:
-            raise RuntimeError(f"operator {self.name} already started")
-        self._started = True
-        self.anchor = self.clock.now_ms()
-        self._next_trigger = self.anchor + self.config.trigger.period_ms
-        if duration_ms is not None:
-            self._end = self.anchor + duration_ms
-        logger.debug(
-            "operator %s started at %d (first trigger=%d)",
-            self.name,
-            self.anchor,
-            self._next_trigger,
-        )
-
-    @property
-    def next_trigger_ms(self) -> int:
-        return self._next_trigger
-
-    @property
-    def end_ms(self) -> int | None:
-        return self._end
 
     @property
     def finished(self) -> bool:
         """True once a bounded run has fired its last trigger or the operator stopped."""
-        if self._stopped:
-            return True
-        return self._end is not None and self._started and self._next_trigger > self._end
+        return self._stopped or (self.end_ms is not None and self.next_trigger_ms > self.end_ms)
 
-    def stop(self, reason: str | None = None) -> None:
+    def stop(self) -> None:
         self._stopped = True
-        self.stop_reason = reason
 
     def close(self) -> None:
         """Release the fetch subscription and the historic connection."""
-        self.stop(self.stop_reason)
+        self.stop()
         self.fetch.close()
         if self.historic is not None:
             self.historic.close()
@@ -274,7 +248,7 @@ class Operator:
 
     def _admission_bound(self) -> int:
         """Lower timestamp bound for admission: the next window's start."""
-        return window_extent(self.config.window, self._next_trigger, self.anchor).start
+        return window_extent(self.config.window, self.next_trigger_ms, self.anchor).start
 
     def admit(self, t: StreamTuple) -> bool:
         """Buffer a tuple unless it is late, behind the watermark or not numeric."""
@@ -306,36 +280,26 @@ class Operator:
         result = hybrid_evaluate(
             trigger_time, window, self.anchor, self._buffer, self.historic, self.config
         )
-        out = result_to_tuple(result, self.name)
-        try:
-            self.sink.publish(out)
-        except ClosedQueueError:
-            self.stop(f"sink queue {self.sink.name!r} closed")
-            logger.warning("operator %s stopped: %s", self.name, self.stop_reason)
-            return
+        self.sink.publish(result_to_tuple(result, self.name))
         self.metrics.results_emitted += 1
 
-    def step(self) -> int:
-        """One co-operative iteration: drain, admit, fire everything due.
+    def step(self, now: int) -> int:
+        """One co-operative iteration at instant ``now``: drain, admit, fire
+        every trigger due at or before ``now``.
 
         Returns the number of tuples drained plus results emitted, so a
-        driver can pump a stage chain until nothing moves.
+        driver can pump a stage chain until nothing moves. An error, such
+        as ``ClosedQueueError`` from a closed sink, propagates to the driver.
         """
-        if not self._started:
-            raise RuntimeError(f"operator {self.name} not started")
+        if self._stopped:
+            return 0
         moved = 0
-        if not self._stopped:
-            for t in self.fetch.drain():
-                self.admit(t)
-                moved += 1
-        now = self.clock.now_ms()
-        while (
-            not self._stopped
-            and self._next_trigger <= now
-            and (self._end is None or self._next_trigger <= self._end)
-        ):
-            self._fire(self._next_trigger)
-            self._next_trigger += self.config.trigger.period_ms
+        for t in self.fetch.drain():
+            self.admit(t)
+            moved += 1
+        while not self.finished and self.next_trigger_ms <= now:
+            self._fire(self.next_trigger_ms)
+            self.next_trigger_ms += self.config.trigger.period_ms
             self._evict()
             moved += 1
         return moved

@@ -21,7 +21,7 @@ import random
 import statistics
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Protocol
 
@@ -184,29 +184,9 @@ class RunReport:
     complete: bool = True
 
     def to_dict(self) -> dict:
-        obj = {
-            "things": self.things,
-            "period_ms": self.period_ms,
-            "duration_ms": self.duration_ms,
-            "topology": self.topology,
-            "published": self.published,
-            "delivered": self.delivered,
-            "elapsed_ms": round(self.elapsed_ms, 3),
-            "throughput_tps": round(self.throughput_tps, 1),
-            "latency_ms": self.latency_ms,
-            "jitter_ms": self.jitter_ms,
-            "queues": {
-                name: {
-                    "published": s.published,
-                    "delivered": s.delivered,
-                    "spilled": s.spilled,
-                    "in_memory": s.in_memory,
-                    "on_disk": s.on_disk,
-                }
-                for name, s in sorted(self.queues.items())
-            },
-            "complete": self.complete,
-        }
+        obj = asdict(self)
+        obj["elapsed_ms"] = round(self.elapsed_ms, 3)
+        obj["throughput_tps"] = round(self.throughput_tps, 1)
         return obj
 
     def to_json(self) -> str:

@@ -340,11 +340,6 @@ class HistoricStore:
             self._check_open()
             return frozenset(self._get(ref).columns)
 
-    def count(self, ref: SeriesRef) -> int:
-        with self._lock:
-            self._check_open()
-            return self._get(ref).count
-
     def time_range(self, ref: SeriesRef) -> tuple[int, int] | None:
         """(min, max) tuple timestamp of a series, or None when empty."""
         with self._lock:

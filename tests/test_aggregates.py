@@ -11,7 +11,7 @@ from oracle import close, direct_aggregate
 def test_empty_finalizes_to_none():
     for fn in AggregationFunction:
         p = empty(fn)
-        assert p.is_empty
+        assert p.count == 0
         assert p.finalize() is None
 
 

@@ -92,7 +92,7 @@ def test_ingest_ndjson_counts_and_duplicates(roots, tmp_path, capsys):
     assert main(argv) == 0
     assert "ingested 0 (50 duplicates)" in capsys.readouterr().out
     store = HistoricStore(roots)
-    assert store.count(SeriesRef("influxdb", "neubot", "speedtest")) == 50
+    assert store.diagnostics(SeriesRef("influxdb", "neubot", "speedtest")).tuples == 50
     store.close()
 
 
@@ -111,7 +111,7 @@ def test_ingest_csv(roots, tmp_path, capsys):
     assert "ingested 2" in capsys.readouterr().out
     store = HistoricStore(roots)
     ref = SeriesRef("influxdb", "neubot", "speedtest")
-    assert store.count(ref) == 2
+    assert store.diagnostics(ref).tuples == 2
     assert "comment" in store.attributes(ref)
     store.close()
 
@@ -126,7 +126,7 @@ def test_ingest_csv_non_finite_row_is_malformed(roots, tmp_path, capsys):
     assert rc == 0
     assert capsys.readouterr().out.strip() == "ingested 2 [1 malformed lines skipped]"
     store = HistoricStore(roots)
-    assert store.count(SeriesRef("influxdb", "d", "s")) == 2
+    assert store.diagnostics(SeriesRef("influxdb", "d", "s")).tuples == 2
     store.close()
 
 

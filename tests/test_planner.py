@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from conflux.broker import QueueConfig
+from conflux import planner
+from conflux.broker import ClosedQueueError, QueueConfig
 from conflux.clock import VirtualClock
 from conflux.model import StreamTuple
 from conflux.planner import (
@@ -323,3 +324,81 @@ def test_threaded_pipeline_owns_one_thread(broker, catalog):
     assert threading.active_count() - before == 1
     assert pipe.stop().state is PipelineState.STOPPED
     assert threading.active_count() == before
+
+
+# -- one clock reading per pass -------------------------------------------------
+
+ONE_SECOND_MAX = (
+    "EVERY 1 seconds compute the max value of download_speed of the last 1 seconds "
+    "from streaming rabbitmq queue neubotspeed"
+)
+
+
+class SteppingClock:
+    """A stand-in real clock that moves ``step_ms`` forward on every read, so
+    any two readings of one pass disagree."""
+
+    def __init__(self, start_ms, step_ms):
+        self._now = start_ms - step_ms
+        self._step = step_ms
+
+    def now_ms(self):
+        self._now += self._step
+        return self._now
+
+    def sleep_ms(self, millis):
+        pass
+
+
+@pytest.fixture
+def no_poll_wait(monkeypatch):
+    # Time moves only on reads, so the real-clock loop need not sleep.
+    monkeypatch.setattr(planner, "POLL_S", 0.0)
+
+
+def test_plan_many_anchors_every_operator_at_one_instant(broker, catalog):
+    texts = [STREAM_MAX, STREAM_MAX.replace("max", "min"), STREAM_MAX.replace("max", "mean")]
+    p = plan_many([parse_query(t) for t in texts], catalog)
+    pipe = launch(p, broker, clock=SteppingClock(5_000, 1), threaded=False)
+    assert [op.anchor for op in pipe.operators] == [5_000] * 3
+    assert pipe.stop().state is PipelineState.STOPPED
+
+
+@pytest.mark.parametrize("step_ms", [3, 7])
+def test_real_clock_feed_just_before_each_trigger_is_counted(
+    broker, catalog, no_poll_wait, step_ms
+):
+    p = plan(parse_query(ONE_SECOND_MAX), catalog)
+    pipe = launch(
+        p, broker, clock=SteppingClock(1_000_000, step_ms), duration_ms=10_000, threaded=False
+    )
+    anchor = pipe.operators[0].anchor
+    feed = [
+        StreamTuple(anchor + k * 1_000 - 1, {"download_speed": float(k)}, f"t{k}")
+        for k in range(1, 11)
+    ]
+    pipe.run(feed)
+    got = [result_from_tuple(t) for t in broker.subscribe(p.stages[1].sink_queue).drain()]
+    assert pipe.stop().state is PipelineState.STOPPED
+    assert pipe.operators[0].metrics.late_dropped == 0
+    assert [r.live_count for r in got] == [1] * 10
+
+
+@pytest.mark.parametrize("real", [False, True])
+def test_closed_result_queue_fails_the_pipeline(broker, catalog, no_poll_wait, real):
+    clock = SteppingClock(0, 1_000) if real else VirtualClock(0)
+    p = plan(parse_query(STREAM_MAX), catalog)
+    pipe = launch(p, broker, clock=clock, duration_ms=4 * MIN, threaded=False)
+    sink = p.stages[1].sink_queue
+    broker.get_queue(sink).close()
+    with pytest.raises(ClosedQueueError):
+        if real:
+            pipe.run(_feed(50, 4_000), end_ms=4 * MIN)
+        else:
+            run_virtual(pipe, clock, feed=_feed(50, 4_000), end_ms=4 * MIN)
+    status = pipe.stop()
+    assert (status.state, status.cause) == (
+        PipelineState.FAILED,
+        f"ClosedQueueError: queue {sink!r} is closed",
+    )
+    assert all(op.finished for op in pipe.operators)

@@ -1,9 +1,14 @@
 import json
 import random
+import shutil
+import tempfile
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from conflux.broker import QueueConfig
+from conflux.broker import Broker, ClosedQueueError, QueueConfig
 from conflux.clock import VirtualClock
 from conflux.model import Interval, StreamTuple
 from conflux.query import AggregationFunction, Frequency, TimeUnit, WindowKind, WindowSpec
@@ -178,12 +183,13 @@ def test_empty_result_omits_value():
 # -- operator loop ----------------------------------------------------------
 
 
-def _operator(broker, clock, config, name="op", store=None):
+def _operator(broker, clock, config, name="op", store=None, duration_ms=None):
+    """An operator anchored at the clock's current instant."""
     feed = broker.declare_queue(QueueConfig("feed"))
     sink = broker.declare_queue(QueueConfig("sink"))
     conn = store.open_connection(REF) if store is not None else None
     return (
-        Operator(name, config, broker.subscribe(feed), sink, conn, clock),
+        Operator(name, config, broker.subscribe(feed), sink, conn, clock.now_ms(), duration_ms),
         feed,
         broker.subscribe(sink),
     )
@@ -197,19 +203,18 @@ def _pump_virtual(op, clock, feed_plan, end_ms, step_ms=1_000):
         while i < len(feed_plan) and feed_plan[i].timestamp <= clock.now_ms():
             yield feed_plan[i]
             i += 1
-        op.step()
+        op.step(clock.now_ms())
 
 
 def test_bounded_run_emits_exact_result_count(broker):
     clock = VirtualClock(0)
     cfg = _config(WindowSpec(WindowKind.SLIDING, 2, TimeUnit.MINUTES), trigger_s=120)
-    op, feed, results = _operator(broker, clock, cfg)
-    op.start(duration_ms=20 * MIN)
+    op, feed, results = _operator(broker, clock, cfg, duration_ms=20 * MIN)
     rng = random.Random(1)
     plan = [_t(ts, rng.uniform(1, 9), src=str(ts)) for ts in range(0, 20 * MIN, 7_000)]
     for t in _pump_virtual(op, clock, plan, 20 * MIN):
         feed.publish(t)
-    op.step()
+    op.step(clock.now_ms())
     assert op.finished
     got = results.drain()
     assert len(got) == 10
@@ -220,11 +225,10 @@ def test_bounded_run_emits_exact_result_count(broker):
 def test_quiet_windows_still_emit(broker):
     clock = VirtualClock(0)
     cfg = _config(WindowSpec(WindowKind.SLIDING, 1, TimeUnit.MINUTES), trigger_s=60)
-    op, _, results = _operator(broker, clock, cfg)
-    op.start(duration_ms=3 * MIN)
+    op, _, results = _operator(broker, clock, cfg, duration_ms=3 * MIN)
     for _ in _pump_virtual(op, clock, [], 3 * MIN):
         pass
-    op.step()
+    op.step(clock.now_ms())
     rs = [result_from_tuple(t) for t in results.drain()]
     assert [r.count for r in rs] == [0, 0, 0]
     assert all(r.value is None for r in rs)
@@ -234,13 +238,12 @@ def test_results_match_oracle_per_window(broker):
     clock = VirtualClock(0)
     window = WindowSpec(WindowKind.SLIDING, 3, TimeUnit.MINUTES)
     cfg = _config(window, trigger_s=60, fn=AggregationFunction.MAX)
-    op, feed, results = _operator(broker, clock, cfg)
-    op.start(duration_ms=15 * MIN)
+    op, feed, results = _operator(broker, clock, cfg, duration_ms=15 * MIN)
     rng = random.Random(9)
     plan = [_t(ts, rng.uniform(1, 100), src=str(ts)) for ts in range(500, 15 * MIN, 1_700)]
     for t in _pump_virtual(op, clock, plan, 15 * MIN):
         feed.publish(t)
-    op.step()
+    op.step(clock.now_ms())
     for out in results.drain():
         r = result_from_tuple(out)
         count, want = single_pass_window(
@@ -253,15 +256,14 @@ def test_results_match_oracle_per_window(broker):
 def test_landmark_counts_never_shrink(broker):
     clock = VirtualClock(1_000_000)
     cfg = _config(WindowSpec(WindowKind.LANDMARK, 1, TimeUnit.HOURS), trigger_s=60)
-    op, feed, results = _operator(broker, clock, cfg)
-    op.start(duration_ms=10 * MIN)
+    op, feed, results = _operator(broker, clock, cfg, duration_ms=10 * MIN)
     rng = random.Random(4)
     plan = [
         _t(1_000_000 + ts, rng.uniform(1, 9), src=str(ts)) for ts in range(0, 10 * MIN, 2_500)
     ]
     for t in _pump_virtual(op, clock, plan, 1_000_000 + 10 * MIN):
         feed.publish(t)
-    op.step()
+    op.step(clock.now_ms())
     counts = [result_from_tuple(t).count for t in results.drain()]
     assert len(counts) == 10
     assert counts == sorted(counts)
@@ -271,9 +273,8 @@ def test_late_tuples_dropped_and_counted(broker):
     clock = VirtualClock(0)
     cfg = _config(WindowSpec(WindowKind.SLIDING, 1, TimeUnit.MINUTES), trigger_s=60)
     op, _, _ = _operator(broker, clock, cfg)
-    op.start()
     clock.set_ms(5 * MIN)
-    op.step()
+    op.step(clock.now_ms())
     assert not op.admit(_t(3 * MIN, 1.0))
     assert op.metrics.late_dropped == 1
     # Admission bound is next window start (5 min trigger fired, next is 6 min).
@@ -283,14 +284,13 @@ def test_late_tuples_dropped_and_counted(broker):
 def test_non_numeric_tuples_are_not_buffered(broker):
     clock = VirtualClock(0)
     cfg = _config(WindowSpec(WindowKind.SLIDING, 1, TimeUnit.MINUTES), trigger_s=60)
-    op, _, results = _operator(broker, clock, cfg)
-    op.start(duration_ms=MIN)
+    op, _, results = _operator(broker, clock, cfg, duration_ms=MIN)
     assert not op.admit(_t(1_000, "n/a"))
     assert not op.admit(StreamTuple(timestamp=2_000, attributes={"w": 1.0}))
     assert (op.metrics.non_numeric_skipped, op.metrics.buffered) == (2, 0)
     assert op.admit(_t(3_000, 4.0))
     clock.set_ms(MIN)
-    op.step()
+    op.step(clock.now_ms())
     r = result_from_tuple(results.drain()[0])
     assert (r.count, r.live_count, r.value) == (1, 1, 4.0)
 
@@ -302,11 +302,10 @@ def test_int_beyond_float_range_is_skipped_not_fired(broker):
         trigger_s=60,
         fn=AggregationFunction.MAX,
     )
-    op, _, results = _operator(broker, clock, cfg)
-    op.start(duration_ms=MIN)
+    op, _, results = _operator(broker, clock, cfg, duration_ms=MIN)
     assert not op.admit(_t(1_000, 10**400))
     clock.set_ms(MIN)
-    op.step()
+    op.step(clock.now_ms())
     assert (op.metrics.non_numeric_skipped, op.metrics.buffered) == (1, 0)
     r = result_from_tuple(results.drain()[0])
     assert (r.count, r.value) == (0, None)
@@ -315,12 +314,11 @@ def test_int_beyond_float_range_is_skipped_not_fired(broker):
 def test_buffer_evicted_after_firing(broker):
     clock = VirtualClock(0)
     cfg = _config(WindowSpec(WindowKind.SLIDING, 1, TimeUnit.MINUTES), trigger_s=60)
-    op, feed, _ = _operator(broker, clock, cfg)
-    op.start(duration_ms=10 * MIN)
+    op, feed, _ = _operator(broker, clock, cfg, duration_ms=10 * MIN)
     plan = [_t(ts, 1.0, src=str(ts)) for ts in range(0, 10 * MIN, 1_000)]
     for t in _pump_virtual(op, clock, plan, 10 * MIN):
         feed.publish(t)
-    op.step()
+    op.step(clock.now_ms())
     # Only the final minute of tuples may remain buffered.
     assert op.metrics.buffered <= 61
 
@@ -330,11 +328,10 @@ def test_operator_uses_history_before_start(broker, mem_store):
     mem_store.ingest(REF, [_t(ts, 2.0, src=str(ts)) for ts in range(0, 60_000, 10_000)])
     clock = VirtualClock(60_000)
     cfg = _config(WindowSpec(WindowKind.SLIDING, 2, TimeUnit.MINUTES), trigger_s=60)
-    op, feed, results = _operator(broker, clock, cfg, store=mem_store)
-    op.start(duration_ms=MIN)
+    op, feed, results = _operator(broker, clock, cfg, store=mem_store, duration_ms=MIN)
     feed.publish(_t(70_000, 8.0))
     for _ in _pump_virtual(op, clock, [], 2 * MIN):
-        op.step()
+        op.step(clock.now_ms())
     r = result_from_tuple(results.drain()[0])
     assert (r.history_count, r.live_count) == (6, 1)
     assert close(r.value, (6 * 2.0 + 8.0) / 7)
@@ -347,7 +344,6 @@ def test_behind_watermark_counted_not_buffered(broker, mem_store):
     clock = VirtualClock(60_000)
     cfg = _config(WindowSpec(WindowKind.SLIDING, 2, TimeUnit.MINUTES), trigger_s=60)
     op, _, _ = _operator(broker, clock, cfg, store=mem_store)
-    op.start()
     # Inside the next window, so not late, but the store answers before 60 s.
     assert not op.admit(_t(30_000, 5.0))
     m = op.metrics
@@ -360,22 +356,19 @@ def test_live_only_operator_buffers_tuples_before_start(broker):
     clock = VirtualClock(60_000)
     cfg = _config(WindowSpec(WindowKind.SLIDING, 2, TimeUnit.MINUTES), trigger_s=60)
     op, _, _ = _operator(broker, clock, cfg)
-    op.start()
     assert op.admit(_t(30_000, 5.0))
     assert (op.metrics.behind_watermark, op.metrics.buffered) == (0, 1)
 
 
-def test_sink_closed_stops_operator(broker):
+def test_sink_closed_raises_from_step(broker):
     clock = VirtualClock(0)
     cfg = _config(WindowSpec(WindowKind.SLIDING, 1, TimeUnit.MINUTES), trigger_s=60)
     op, _, results = _operator(broker, clock, cfg)
-    op.start()
     results.close()
     broker.get_queue("sink").close()
-    clock.set_ms(MIN)
-    op.step()
-    assert op.finished
-    assert "sink" in op.stop_reason
+    with pytest.raises(ClosedQueueError, match="'sink' is closed"):
+        op.step(MIN)
+    assert op.metrics.results_emitted == 0
 
 
 def test_two_virtual_runs_are_byte_identical(broker):
@@ -384,16 +377,166 @@ def test_two_virtual_runs_are_byte_identical(broker):
         feed = broker.declare_queue(QueueConfig(f"feed.{tag}"))
         sink = broker.declare_queue(QueueConfig(f"sink.{tag}"))
         cfg = _config(WindowSpec(WindowKind.SLIDING, 2, TimeUnit.MINUTES), trigger_s=120)
-        op = Operator("op", cfg, broker.subscribe(feed), sink, clock=clock)
-        op.start(duration_ms=20 * MIN)
+        op = Operator("op", cfg, broker.subscribe(feed), sink, None, clock.now_ms(), 20 * MIN)
         rng = random.Random(42)
         plan = [_t(ts, rng.uniform(1, 9), src=str(ts)) for ts in range(0, 20 * MIN, 3_000)]
         out = broker.subscribe(sink)
         for t in _pump_virtual(op, clock, plan, 20 * MIN):
             feed.publish(t)
-        op.step()
+        op.step(clock.now_ms())
         return b"".join(
             (encode_result(t) + "\n").encode() for t in out.drain()
         )
 
     assert run("a") == run("b")
+
+
+# -- operator state machine ---------------------------------------------------
+
+ANCHOR = 100_000
+# A value and whether the operator must count it: a finite float, an int, a
+# non-numeric string, an int too large for a float, or the attribute left out.
+VALUES = st.one_of(
+    st.floats(0.5, 1_000.0).map(lambda v: (v, True)),
+    st.integers(1, 1_000).map(lambda v: (v, True)),
+    st.sampled_from([("n/a", False), (10**400, False), (None, False)]),
+)
+
+
+def _attrs(value):
+    return {"w": 1.0} if value is None else {"v": value}
+
+
+class OperatorMachine(RuleBasedStateMachine):
+    """An operator driven by arbitrary arrivals and a non-decreasing ``now``,
+    checked against a naive model: every result against
+    ``single_pass_window`` over the history plus the tuples the model
+    admitted before that trigger fired, and every tuple in reconciled."""
+
+    @initialize(
+        kind=st.sampled_from(WindowKind),
+        window_s=st.integers(1, 4),
+        trigger_s=st.integers(1, 3),
+        fn=st.sampled_from(AggregationFunction),
+        periods=st.none() | st.integers(1, 8),
+        history=st.none() | st.lists(st.tuples(st.integers(-8_000, -1), VALUES), max_size=12),
+    )
+    def launch(self, kind, window_s, trigger_s, fn, periods, history):
+        self.cfg = _config(WindowSpec(kind, window_s, TimeUnit.SECONDS), trigger_s=trigger_s, fn=fn)
+        self.spill_root = tempfile.mkdtemp()
+        self.broker = Broker(self.spill_root)
+        self.store = None
+        self.history = []
+        conn = None
+        if history is not None:
+            # The store refuses an attribute it never saw numeric; this tuple
+            # lies before every window.
+            self.history = [StreamTuple(ANCHOR - 9_000, {"v": 1.0}, "h")] + [
+                StreamTuple(ANCHOR + dt, _attrs(v), f"h{i}") for i, (dt, (v, _)) in enumerate(history)
+            ]
+            self.store = HistoricStore(None)
+            self.store.register_series(REF)
+            self.store.ingest(REF, self.history)
+            conn = self.store.open_connection(REF)
+        self.feed = self.broker.declare_queue(QueueConfig("feed"))
+        sink = self.broker.declare_queue(QueueConfig("sink"))
+        duration_ms = None if periods is None else periods * self.cfg.trigger.period_ms
+        self.op = Operator(
+            "op", self.cfg, self.broker.subscribe(self.feed), sink, conn, ANCHOR, duration_ms
+        )
+        self.results = self.broker.subscribe(sink)
+        self.now = ANCHOR
+        self.next = ANCHOR + self.cfg.trigger.period_ms
+        self.end = None if duration_ms is None else ANCHOR + duration_ms
+        self.pending = []
+        self.admitted = []
+        self.late = self.behind = self.non_numeric = 0
+
+    def teardown(self):
+        if hasattr(self, "op"):
+            self.op.close()
+            self.results.close()
+            self.broker.shutdown()
+            shutil.rmtree(self.spill_root, ignore_errors=True)
+            if self.store is not None:
+                self.store.close()
+
+    def _window_start(self, trigger):
+        if self.cfg.window.kind is WindowKind.SLIDING:
+            return trigger - self.cfg.window.duration_ms
+        return ANCHOR - self.cfg.window.duration_ms
+
+    @rule(
+        near=st.sampled_from(["bound", "next bound", "watermark", "trigger"]) | st.none(),
+        jitter=st.integers(-1, 1),
+        offset=st.integers(-12_000, 8_000),
+        value=VALUES,
+    )
+    def arrive(self, near, jitter, offset, value):
+        # Most arrivals land on, or 1 ms either side of, the admission bound
+        # before and after the next trigger fires, the watermark or the next
+        # trigger, where an off-by-one would show; the rest land anywhere
+        # around the next trigger.
+        edges = {
+            "bound": self._window_start(self.next),
+            "next bound": self._window_start(self.next + self.cfg.trigger.period_ms),
+            "watermark": ANCHOR,
+            "trigger": self.next,
+        }
+        ts = self.next + offset if near is None else edges[near] + jitter
+        v, numeric = value
+        t = StreamTuple(ts, _attrs(v), "live")
+        self.feed.publish(t)
+        self.pending.append((t, numeric))
+
+    @rule(delta=st.integers(0, 3_000) | st.sampled_from([500, 1_000, 2_000]))
+    def step(self, delta):
+        self.now += delta
+        moved = self.op.step(self.now)
+        bound = self._window_start(self.next)
+        for t, numeric in self.pending:
+            if t.timestamp < bound:
+                self.late += 1
+            elif self.store is not None and t.timestamp < ANCHOR:
+                self.behind += 1
+            elif not numeric:
+                self.non_numeric += 1
+            else:
+                self.admitted.append(t)
+        fired = []
+        while self.next <= self.now and (self.end is None or self.next <= self.end):
+            fired.append(self.next)
+            self.next += self.cfg.trigger.period_ms
+        got = [result_from_tuple(t) for t in self.results.drain()]
+        assert moved == len(self.pending) + len(fired)
+        self.pending = []
+        assert [r.trigger_time for r in got] == fired
+        for r in got:
+            start = self._window_start(r.trigger_time)
+            assert r.window == Interval(start, r.trigger_time)
+            count, want = single_pass_window(
+                self.history + self.admitted, self.cfg.aggregation, "v", start, r.trigger_time
+            )
+            hist, _ = single_pass_window(
+                self.history, self.cfg.aggregation, "v", start, r.trigger_time
+            )
+            assert (r.count, r.history_count) == (count, hist)
+            assert close(r.value, want)
+
+    @invariant()
+    def counters_reconcile(self):
+        m = self.op.metrics
+        assert m.tuples_in == len(self.admitted) + m.late_dropped + m.behind_watermark + (
+            m.non_numeric_skipped
+        )
+        assert (m.late_dropped, m.behind_watermark, m.non_numeric_skipped) == (
+            self.late, self.behind, self.non_numeric
+        )
+        assert self.op.next_trigger_ms == self.next
+        assert self.op.finished == (self.end is not None and self.next > self.end)
+
+
+OperatorMachine.TestCase.settings = settings(
+    max_examples=150, stateful_step_count=30, deadline=None
+)
+test_operator_machine = OperatorMachine.TestCase

@@ -56,7 +56,7 @@ def test_ingest_counts_and_dedup(store):
     batch = [_t(0, 1.0), _t(1, 2.0), _t(2, 3.0)]
     assert store.ingest(REF, batch) == 3
     assert store.ingest(REF, batch) == 0
-    assert store.count(REF) == 3
+    assert store.diagnostics(REF).tuples == 3
     assert store.diagnostics(REF).duplicates_ignored == 3
 
 
@@ -132,7 +132,7 @@ def test_int_beyond_float_range_is_skipped_as_non_numeric(store):
     rows = store.query_to_historic(REF, _q(AggregationFunction.MEAN, 0, 60_000, 1))
     assert (rows[0].count, rows[0].result) == (2.0, 2.0)
     assert store.diagnostics(REF).non_numeric_skipped == 1
-    assert store.count(REF) == 3
+    assert store.diagnostics(REF).tuples == 3
 
 
 def test_counts_sum_to_numeric_tuples_in_range(store):
@@ -194,7 +194,7 @@ def test_durability_reopen_identical(tmp_path):
     before = s.query_to_historic(REF, q)
     s.close()
     s2 = HistoricStore(root)
-    assert s2.count(REF) == 500
+    assert s2.diagnostics(REF).tuples == 500
     assert s2.query_to_historic(REF, q) == before
     # Re-ingesting the same tuples after reopen still deduplicates.
     assert s2.ingest(REF, tuples) == 0
@@ -346,7 +346,7 @@ def test_block_index_matches_scan_oracle(seed, tmp_path, monkeypatch):
     # Interleaves with the first batch, after queries have built the index.
     s.ingest(REF, second)
     rows = _check_against_oracle(s, first + second, queries)
-    assert s.count(REF) == 210
+    assert s.diagnostics(REF).tuples == 210
     s.close()
     reopened = HistoricStore(root)
     assert _check_against_oracle(reopened, first + second, queries) == rows
