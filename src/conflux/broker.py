@@ -51,12 +51,15 @@ class SubscriberConflict(BrokerError):
 
 @dataclass(frozen=True)
 class QueueConfig:
-    """Declaration-time queue settings; spill files go under ``<spill root>/<name>``."""
+    """Declaration-time queue settings; spill files go under ``<spill root>/<name>``,
+    so a name must be one path component: non-empty, no ``/``, not ``.`` or ``..``."""
 
     name: str
     memory_capacity: int = 100_000
 
     def __post_init__(self) -> None:
+        if not self.name or "/" in self.name or self.name in (".", ".."):
+            raise ValueError(f"illegal queue name: {self.name!r}")
         if self.memory_capacity < 1:
             raise ValueError(f"memory_capacity must be >= 1, got {self.memory_capacity}")
 

@@ -7,6 +7,7 @@ run on the wall clock.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Protocol, runtime_checkable
 
@@ -18,7 +19,8 @@ class Clock(Protocol):
         ...
 
     def sleep_ms(self, millis: float) -> None:
-        """Block for the given duration (no-op on virtual clocks)."""
+        """Let the given duration pass: block on a real clock, advance a
+        virtual one; zero or less does nothing."""
         ...
 
 
@@ -47,8 +49,9 @@ class VirtualClock:
         return self._now
 
     def sleep_ms(self, millis: float) -> None:
-        # Virtual time does not pass while sleeping; drivers advance it.
-        pass
+        """Advance virtual time by ``millis``, rounded up to a whole millisecond."""
+        if millis > 0:
+            self._now += math.ceil(millis)
 
     def set_ms(self, t: int) -> None:
         if t < self._now:

@@ -395,8 +395,14 @@ class Pipeline:
         Returns after the pass that follows ``stop``, when nothing is due,
         or when the next instant is past ``end_ms``. Once every operator has
         finished, the rest of the feed is published at once and pumped.
-        The feed must be sorted by timestamp.
+        The feed must be sorted by timestamp. Raises PlanError unless the
+        pipeline is running and this is the thread that drives it: the
+        caller's, or the driver thread of ``launch(threaded=True)``.
         """
+        if self.state is not PipelineState.RUNNING:
+            raise PlanError(f"pipeline is {self.state.value}, not running")
+        if self._driver is not None and threading.current_thread() is not self._driver:
+            raise PlanError("a threaded pipeline is run by its own driver thread")
         feed = feed or []
         source_name = self.plan.source_queue
         if feed and source_name is None:
@@ -517,24 +523,3 @@ def launch(
     pipeline = Pipeline(plan, broker, store, clock=clock, duration_ms=duration_ms)
     return pipeline.start(threaded=threaded)
 
-
-def run_virtual(
-    pipeline: Pipeline,
-    clock: VirtualClock,
-    feed: list[StreamTuple] | None = None,
-    end_ms: int | None = None,
-) -> None:
-    """``Pipeline.run`` for a launched unthreaded pipeline on its virtual clock.
-
-    The feed must be sorted by timestamp; each tuple is published to the
-    plan's source queue when the clock reaches its timestamp, before any
-    trigger due at the same instant fires. The run ends when every bounded
-    operator has fired its last trigger and the feed is exhausted.
-    """
-    if pipeline.state is not PipelineState.RUNNING:
-        raise PlanError(f"pipeline is {pipeline.state.value}, not running")
-    if pipeline._driver is not None:
-        raise PlanError("run_virtual needs a pipeline launched with threaded=False")
-    if clock is not pipeline.clock:
-        raise PlanError("run_virtual needs the clock the pipeline was launched with")
-    pipeline.run(feed, end_ms)

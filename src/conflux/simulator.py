@@ -1,39 +1,36 @@
 """Load farm of simulated devices.
 
 Each simulated thing publishes one tuple per period with attributes drawn
-from per-thing seeded generators, so a farm run is reproducible down to the
-byte on a virtual clock and produces genuine multi-threaded load on a real
-one. The default attribute model is two positive, diurnally varying rates
-(download_speed, upload_speed), which keeps min/max/mean outputs meaningful.
+from per-thing seeded generators. The default attribute model is two
+positive, diurnally varying rates (download_speed, upload_speed), which keeps
+min/max/mean outputs meaningful.
 
 Topologies: every thing into one shared queue, or one queue per thing.
-``run_farm`` owns publisher and consumer lifecycles and reports counters,
-throughput and delivery-latency percentiles; correctness tests use the
-virtual clock, throughput measurements the real one.
+``run_farm`` is one loop on the calling thread for either clock: each tick
+waits for its instant, publishes every thing's tuple and drains the queues.
+On a virtual clock a run is reproducible down to the byte; on a real one it
+is paced by the wall clock. It reports counters, throughput, and delivery
+latency and tick jitter percentiles.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import math
 import random
 import statistics
-import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from typing import Protocol
 
-from .broker import Broker, Queue, QueueConfig, QueueStats
-from .clock import Clock, SystemClock, VirtualClock
+from .broker import Broker, QueueConfig, QueueStats, Subscription
+from .clock import Clock, SystemClock
 from .model import StreamTuple, TimeUnit
-
-logger = logging.getLogger(__name__)
 
 DAY_MS = TimeUnit.DAYS.millis
 
-# Consumers sample delivery latency on every Nth tuple to keep overhead
+# Delivery latency is sampled on every Nth tuple to keep overhead
 # negligible at high rates.
 LATENCY_SAMPLE_EVERY = 128
 
@@ -72,6 +69,10 @@ class NoisySineGen:
     amplitude: float
     period_ms: int = DAY_MS
     noise: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.period_ms < 1:
+            raise ValueError(f"period_ms must be >= 1, got {self.period_ms}")
 
     def sample(self, rng: random.Random, t_ms: int) -> float:
         v = self.base + self.amplitude * math.sin(2.0 * math.pi * t_ms / self.period_ms)
@@ -140,13 +141,28 @@ class FarmConfig:
         return f"{self.queue}.{thing_index}"
 
 
-def farm_config_from_dict(obj: dict) -> FarmConfig:
-    """Build a FarmConfig from a parsed JSON config file."""
+# A config file names the attribute model "attributes", as generator specs.
+_CONFIG_KEYS = {f.name for f in fields(FarmConfig)} - {"attribute_model"} | {"attributes"}
+
+
+def farm_config_from_dict(obj: object) -> FarmConfig:
+    """Build a FarmConfig from a parsed JSON config file.
+
+    Raises ValueError for anything but an object of known keys, and for
+    ``attributes`` that is not an object of generator specs.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"farm config must be a JSON object, got {type(obj).__name__}")
+    unknown = sorted(set(obj) - _CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown farm config keys: {', '.join(unknown)}")
     kwargs = dict(obj)
     if "topology" in kwargs:
         kwargs["topology"] = Topology(kwargs["topology"])
     if "attributes" in kwargs:
         attrs = kwargs.pop("attributes")
+        if not isinstance(attrs, dict) or not all(isinstance(s, str) for s in attrs.values()):
+            raise ValueError("farm config attributes must map names to generator specs")
         kwargs["attribute_model"] = tuple(
             (name, parse_generator(spec)) for name, spec in attrs.items()
         )
@@ -181,7 +197,6 @@ class RunReport:
     latency_ms: dict[str, float] | None
     jitter_ms: dict[str, float] | None
     queues: dict[str, QueueStats]
-    complete: bool = True
 
     def to_dict(self) -> dict:
         obj = asdict(self)
@@ -194,7 +209,7 @@ class RunReport:
 
     CSV_HEADER = (
         "things,topology,period_ms,duration_ms,published,delivered,"
-        "throughput_tps,p50_ms,p95_ms,p99_ms,complete"
+        "throughput_tps,p50_ms,p95_ms,p99_ms"
     )
 
     def csv_row(self) -> str:
@@ -212,7 +227,6 @@ class RunReport:
                 lat.get("p50", ""),
                 lat.get("p95", ""),
                 lat.get("p99", ""),
-                self.complete,
             )
         )
 
@@ -230,196 +244,59 @@ def run_farm(
     clock: Clock | None = None,
     consume: bool = True,
 ) -> RunReport:
-    """Run the whole farm and report counters at quiescence.
+    """Run the whole farm on the calling thread and report counters at the end.
 
-    A VirtualClock makes the run single-threaded and deterministic: each
-    tick publishes every thing's tuple in thing order, then consumers drain.
-    A real clock spreads things across publisher threads and measures
-    delivery latency and per-tick jitter. With consume=False the tuples
-    stay queued for the caller (virtual mode only).
+    Tick k waits with ``clock.sleep_ms`` until ``start + k * period_ms`` (a
+    VirtualClock advances exactly there), generates every thing's tuple in
+    thing order at that instant and publishes one batch per queue. With
+    ``consume`` it then drains each queue's one subscription, sampling
+    delivery latency on every LATENCY_SAMPLE_EVERY-th tuple; without it the
+    tuples stay queued for the caller. Jitter, how late a tick began, is
+    sampled every 16th tick. A generator or publish error propagates; the
+    subscriptions are closed either way.
     """
     clock = clock if clock is not None else SystemClock()
     thing_ids = [f"thing-{i:04d}" for i in range(config.things)]
-    queue_names = sorted({config.queue_for(i) for i in range(config.things)})
+    rngs = [thing_rng(config.seed, tid) for tid in thing_ids]
+    members: dict[str, list[int]] = {}
+    for i in range(config.things):
+        members.setdefault(config.queue_for(i), []).append(i)
     queues = {
         name: broker.declare_queue(QueueConfig(name=name, memory_capacity=config.memory_capacity))
-        for name in queue_names
+        for name in members
     }
-    if isinstance(clock, VirtualClock):
-        return _run_virtual(config, broker, clock, thing_ids, queues, consume)
-    return _run_real(config, broker, clock, thing_ids, queues, consume)
-
-
-def _run_virtual(
-    config: FarmConfig,
-    broker: Broker,
-    clock: VirtualClock,
-    thing_ids: list[str],
-    queues: dict[str, Queue],
-    consume: bool,
-) -> RunReport:
-    rngs = [thing_rng(config.seed, tid) for tid in thing_ids]
+    model = config.attribute_model
+    subs: list[Subscription] = []
+    published = delivered = 0
+    latency: list[float] = []
+    jitter: list[float] = []
+    begin = time.monotonic()
     start = clock.now_ms()
-    published = 0
-    begin = time.monotonic()
-    for k in range(config.tuples_per_thing):
-        clock.set_ms(start + k * config.period_ms)
-        now = clock.now_ms()
-        batches: dict[str, list[StreamTuple]] = {}
-        for i, tid in enumerate(thing_ids):
-            t = generate_tuple(tid, config.attribute_model, rngs[i], now)
-            batches.setdefault(config.queue_for(i), []).append(t)
-        for name, batch in batches.items():
-            queues[name].publish_many(batch)
-        published += len(thing_ids)
-    delivered = 0
-    if consume:
-        for name in sorted(queues):
-            sub = broker.subscribe(queues[name])
-            delivered += len(sub.drain())
+    try:
+        for queue in queues.values() if consume else ():
+            subs.append(broker.subscribe(queue))
+        for k in range(config.tuples_per_thing):
+            target = start + k * config.period_ms
+            clock.sleep_ms(target - clock.now_ms())
+            now = clock.now_ms()
+            if k % 16 == 0:
+                jitter.append(float(now - target))
+            for name, indices in members.items():
+                queues[name].publish_many(
+                    [generate_tuple(thing_ids[i], model, rngs[i], now) for i in indices]
+                )
+            published += config.things
+            for sub in subs:
+                batch = sub.drain()
+                now = clock.now_ms()
+                # Every tuple whose run-wide delivery index is a multiple of N.
+                sampled = batch[-delivered % LATENCY_SAMPLE_EVERY :: LATENCY_SAMPLE_EVERY]
+                latency.extend(float(now - t.timestamp) for t in sampled)
+                delivered += len(batch)
+    finally:
+        for sub in subs:
             sub.close()
     elapsed_ms = (time.monotonic() - begin) * 1000.0
-    return RunReport(
-        things=config.things,
-        period_ms=config.period_ms,
-        duration_ms=config.duration_ms,
-        topology=config.topology.value,
-        published=published,
-        delivered=delivered,
-        elapsed_ms=elapsed_ms,
-        throughput_tps=published / (elapsed_ms / 1000.0) if elapsed_ms > 0 else 0.0,
-        latency_ms=None,
-        jitter_ms=None,
-        queues={name: q.stats() for name, q in queues.items()},
-        complete=True,
-    )
-
-
-class _PublisherWorker(threading.Thread):
-    """Publishes for a slice of the farm's things, one batch per tick."""
-
-    def __init__(
-        self,
-        config: FarmConfig,
-        clock: Clock,
-        indices: list[int],
-        thing_ids: list[str],
-        queues: dict[str, Queue],
-        start_ms: int,
-    ):
-        super().__init__(daemon=True)
-        self.config = config
-        self.clock = clock
-        self.indices = indices
-        self.thing_ids = thing_ids
-        self.queues = queues
-        self.start_ms = start_ms
-        self.rngs = {i: thing_rng(config.seed, thing_ids[i]) for i in indices}
-        self.published = 0
-        self.jitter: list[float] = []
-        self.error: str | None = None
-
-    def run(self) -> None:
-        cfg = self.config
-        try:
-            for k in range(cfg.tuples_per_thing):
-                target = self.start_ms + k * cfg.period_ms
-                now = self.clock.now_ms()
-                if target > now:
-                    self.clock.sleep_ms(target - now)
-                now = self.clock.now_ms()
-                if k % 16 == 0:
-                    self.jitter.append(float(now - target))
-                batches: dict[str, list[StreamTuple]] = {}
-                for i in self.indices:
-                    t = generate_tuple(
-                        self.thing_ids[i], cfg.attribute_model, self.rngs[i], now
-                    )
-                    batches.setdefault(cfg.queue_for(i), []).append(t)
-                for name, batch in batches.items():
-                    self.queues[name].publish_many(batch)
-                    self.published += len(batch)
-        except Exception as exc:
-            # Any failure makes the run incomplete; a dead thread must not
-            # read as a finished one.
-            logger.exception("publisher worker failed")
-            self.error = f"{type(exc).__name__}: {exc}"
-
-
-class _ConsumerWorker(threading.Thread):
-    """Drains a set of queues, counting tuples and sampling latency."""
-
-    def __init__(self, broker: Broker, names: list[str], clock: Clock, done: threading.Event):
-        super().__init__(daemon=True)
-        self.subs = [broker.subscribe(name) for name in names]
-        self.clock = clock
-        self.done = done
-        self.delivered = 0
-        self.latency: list[float] = []
-
-    def run(self) -> None:
-        seen = 0
-        while True:
-            got = 0
-            for sub in self.subs:
-                batch = sub.receive_many(8192, timeout=0.02)
-                got += len(batch)
-                for t in batch:
-                    if seen % LATENCY_SAMPLE_EVERY == 0:
-                        self.latency.append(float(self.clock.now_ms() - t.timestamp))
-                    seen += 1
-            self.delivered += got
-            if got == 0 and self.done.is_set():
-                return
-
-    def close(self) -> None:
-        for sub in self.subs:
-            sub.close()
-
-
-def _run_real(
-    config: FarmConfig,
-    broker: Broker,
-    clock: Clock,
-    thing_ids: list[str],
-    queues: dict[str, Queue],
-    consume: bool,
-) -> RunReport:
-    n_workers = min(8, config.things)
-    chunks: list[list[int]] = [[] for _ in range(n_workers)]
-    for i in range(config.things):
-        chunks[i % n_workers].append(i)
-
-    done = threading.Event()
-    consumers: list[_ConsumerWorker] = []
-    if consume:
-        names = sorted(queues)
-        n_consumers = min(4, len(names))
-        per = [names[c::n_consumers] for c in range(n_consumers)]
-        consumers = [_ConsumerWorker(broker, group, clock, done) for group in per if group]
-        for c in consumers:
-            c.start()
-
-    begin = time.monotonic()
-    start_ms = clock.now_ms() + 50
-    workers = [
-        _PublisherWorker(config, clock, chunk, thing_ids, queues, start_ms) for chunk in chunks
-    ]
-    for w in workers:
-        w.start()
-    for w in workers:
-        w.join()
-    done.set()
-    for c in consumers:
-        c.join()
-        c.close()
-    elapsed_ms = (time.monotonic() - begin) * 1000.0
-
-    published = sum(w.published for w in workers)
-    delivered = sum(c.delivered for c in consumers)
-    errors = [w.error for w in workers if w.error]
-    jitter = [j for w in workers for j in w.jitter]
-    latency = [v for c in consumers for v in c.latency]
     basis = delivered if consume else published
     return RunReport(
         things=config.things,
@@ -433,5 +310,4 @@ def _run_real(
         latency_ms=_percentiles(latency),
         jitter_ms=_percentiles(jitter),
         queues={name: q.stats() for name, q in queues.items()},
-        complete=not errors,
     )

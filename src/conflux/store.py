@@ -336,9 +336,10 @@ class HistoricStore:
             return sorted(self._series, key=lambda r: (r.provider, r.database, r.series))
 
     def attributes(self, ref: SeriesRef) -> frozenset[str]:
+        """Attributes with at least one numeric value: those a query may aggregate."""
         with self._lock:
             self._check_open()
-            return frozenset(self._get(ref).columns)
+            return frozenset(name for name, c in self._get(ref).columns.items() if c.values)
 
     def time_range(self, ref: SeriesRef) -> tuple[int, int] | None:
         """(min, max) tuple timestamp of a series, or None when empty."""

@@ -26,6 +26,13 @@ def test_fifo_order(broker):
     assert got == list(range(100))
 
 
+@pytest.mark.parametrize("name", ["", ".", "..", "a/b", "/abs", "../x"])
+def test_queue_name_must_be_one_path_component(name):
+    # The spill directory is <spill root>/<name>; any other name escapes it.
+    with pytest.raises(ValueError, match="illegal queue name"):
+        QueueConfig(name=name)
+
+
 def test_declare_idempotent_and_conflict(broker):
     cfg = QueueConfig(name="q", memory_capacity=10)
     q1 = broker.declare_queue(cfg)

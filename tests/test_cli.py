@@ -112,7 +112,8 @@ def test_ingest_csv(roots, tmp_path, capsys):
     store = HistoricStore(roots)
     ref = SeriesRef("influxdb", "neubot", "speedtest")
     assert store.diagnostics(ref).tuples == 2
-    assert "comment" in store.attributes(ref)
+    # "comment" is never numeric, so it is not an attribute a query may aggregate.
+    assert store.attributes(ref) == frozenset({"download_speed"})
     store.close()
 
 
@@ -286,6 +287,21 @@ def test_replay_subcommand_is_gone(roots, capsys):
     assert main(["replay", "log.ndjson", "--queue", "q"]) == 1
 
 
+def test_query_on_a_never_numeric_attribute_is_plan_error(roots, tmp_path, capsys):
+    log = tmp_path / "h.ndjson"
+    _write_ndjson(log, [
+        StreamTuple(timestamp=k * 1_000, attributes={"v": "n/a", "w": 2.0}, source_id="")
+        for k in range(2)
+    ])
+    assert main(["ingest", str(log), "--provider", "influxdb", "--db", "d", "--series", "s",
+                 "--store-root", str(roots)]) == 0
+    rc = main(["query", "EVERY 1 seconds compute the mean value of v of the last 10 seconds "
+               "FROM influxdb database d series s", "--duration", "2s",
+               "--store-root", str(roots)])
+    assert rc == 1
+    assert "plan error: attribute 'v' not present" in capsys.readouterr().err
+
+
 def test_query_unknown_series_is_plan_error(roots, capsys):
     rc = main(["query", NEUBOT_SPEED_MEAN, "--duration", "60s", "--store-root", str(roots)])
     assert rc == 1
@@ -327,7 +343,8 @@ def test_bench_virtual_matrix(roots, tmp_path, capsys):
         (4, "shared_queue"), (4, "queue_per_thing"),
     }
     assert all(r["published"] == r["things"] * 20 for r in reports)
-    assert all(r["complete"] for r in reports)
+    # On virtual time every tick starts exactly on its instant.
+    assert all(r["jitter_ms"] == {"p50": 0.0, "p95": 0.0, "p99": 0.0} for r in reports)
     rows = csv_out.read_text().strip().splitlines()
     assert len(rows) == 5
     # stdout carried one JSON report per combo.
@@ -340,6 +357,49 @@ def test_bench_config_file(roots, tmp_path, capsys):
     assert main(["bench", "--config", str(cfg), "--clock", "virtual"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["published"] == 30
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"things": 2, "period_ms": 100, "duration_ms": 1000,
+          "attributes": {"v": "sine:1,1,0"}}, "bad generator spec"),
+        ({"things": 2, "period_ms": 100, "duration_ms": 1000,
+          "attributes": {"v": "sine:1,1,0.5"}}, "bad generator spec"),
+        ({"things": 2, "period_ms": 100, "duration_ms": 1000, "bogus": 1},
+         "unknown farm config keys: bogus"),
+        ([1, 2], "must be a JSON object"),
+    ],
+)
+def test_bench_bad_config_is_runtime_error(roots, tmp_path, capsys, config, message):
+    cfg = tmp_path / "farm.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["bench", "--config", str(cfg), "--clock", "virtual"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_bench_generator_error_exits_2(roots, tmp_path, capsys):
+    # A quarter period in, base + amplitude overflows to inf, which no tuple may carry.
+    cfg = tmp_path / "farm.json"
+    cfg.write_text(json.dumps({"things": 2, "period_ms": 100, "duration_ms": 1000,
+                               "attributes": {"v": "sine:1e308,1e308,400"}}))
+    assert main(["bench", "--config", str(cfg), "--clock", "virtual"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_bench_queue_name_cannot_escape_the_spill_root(roots, tmp_path, capsys):
+    sp = tmp_path / "sp"
+    (sp / "inner").mkdir(parents=True)
+    precious = sp / "precious.txt"
+    precious.write_text("keep me")
+    cfg = tmp_path / "farm.json"
+    cfg.write_text(json.dumps({"things": 1, "period_ms": 100, "duration_ms": 1000,
+                               "queue": ".."}))
+    rc = main(["bench", "--config", str(cfg), "--clock", "virtual",
+               "--spill-root", str(sp / "inner")])
+    assert rc == 2
+    assert "illegal queue name" in capsys.readouterr().err
+    assert precious.read_text() == "keep me"
 
 
 def test_bench_bad_matrix_axis(roots, capsys):

@@ -18,7 +18,6 @@ from conflux.planner import (
     plan,
     plan_many,
     result_queue_name,
-    run_virtual,
 )
 from conflux.query import AggregationFunction, Catalog, WindowKind, parse_query, render_query
 from conflux.runtime import result_from_tuple
@@ -144,7 +143,7 @@ def test_pipeline_matches_direct_evaluation(broker, catalog):
     feed = _feed(200, 3_000)
     pipe, clock, p = _launch_virtual(broker, catalog, STREAM_MAX, duration_ms=10 * MIN)
     assert pipe.state is PipelineState.RUNNING
-    run_virtual(pipe, clock, feed=feed, end_ms=10 * MIN)
+    pipe.run(feed=feed, end_ms=10 * MIN)
     results = broker.subscribe(p.stages[1].sink_queue)
     got = [result_from_tuple(t) for t in results.drain()]
     pipe.stop()
@@ -159,7 +158,7 @@ def test_pipeline_matches_direct_evaluation(broker, catalog):
 def test_pipeline_counts_conserve_at_quiescence(broker, catalog):
     feed = _feed(150, 2_000)
     pipe, clock, p = _launch_virtual(broker, catalog, STREAM_MAX, duration_ms=5 * MIN)
-    run_virtual(pipe, clock, feed=feed, end_ms=5 * MIN)
+    pipe.run(feed=feed, end_ms=5 * MIN)
     status = pipe.status()
     src = status.queues["neubotspeed"]
     assert src.published == 150
@@ -181,7 +180,7 @@ def test_hybrid_pipeline_reads_history(broker, catalog):
         broker, catalog, NEUBOT_SPEED_MEAN, store=store, duration_ms=40_000, start_ms=60_000
     )
     live = _feed(20, 1_000, start=60_000, seed=6)
-    run_virtual(pipe, clock, feed=live, end_ms=100_000)
+    pipe.run(feed=live, end_ms=100_000)
     got = [result_from_tuple(t) for t in broker.subscribe(p.stages[1].sink_queue).drain()]
     pipe.stop()
     store.close()
@@ -224,13 +223,27 @@ def test_second_pipeline_on_same_source_is_refused(broker, catalog):
 
 def test_stop_freezes_status(broker, catalog):
     pipe, clock, _ = _launch_virtual(broker, catalog, STREAM_MAX, duration_ms=4 * MIN)
-    run_virtual(pipe, clock, feed=_feed(50, 4_000), end_ms=4 * MIN)
+    pipe.run(feed=_feed(50, 4_000), end_ms=4 * MIN)
     status = pipe.stop()
     assert status.state is PipelineState.STOPPED
     after = pipe.status()
     assert after.stages == status.stages
     # Stopping twice is harmless.
     assert pipe.stop().state is PipelineState.STOPPED
+
+
+def test_run_needs_a_running_pipeline_on_its_driving_thread(broker, catalog):
+    p = plan(parse_query(STREAM_MAX), catalog)
+    pipe = launch(p, broker, duration_ms=10 * MIN, threaded=True)
+    with pytest.raises(PlanError, match="driver thread"):
+        pipe.run()
+    assert pipe.stop().state is PipelineState.STOPPED
+    with pytest.raises(PlanError, match="stopped, not running"):
+        pipe.run()
+    failed = launch(plan(parse_query(NEUBOT_SPEED_MEAN), catalog), broker, threaded=False)
+    assert failed.state is PipelineState.FAILED
+    with pytest.raises(PlanError, match="failed, not running"):
+        failed.run()
 
 
 def test_threaded_pipeline_small_run(broker, catalog):
@@ -392,10 +405,7 @@ def test_closed_result_queue_fails_the_pipeline(broker, catalog, no_poll_wait, r
     sink = p.stages[1].sink_queue
     broker.get_queue(sink).close()
     with pytest.raises(ClosedQueueError):
-        if real:
-            pipe.run(_feed(50, 4_000), end_ms=4 * MIN)
-        else:
-            run_virtual(pipe, clock, feed=_feed(50, 4_000), end_ms=4 * MIN)
+        pipe.run(_feed(50, 4_000), end_ms=4 * MIN)
     status = pipe.stop()
     assert (status.state, status.cause) == (
         PipelineState.FAILED,

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import random
+import threading
 
 import pytest
 
@@ -52,9 +54,14 @@ def test_parse_generator_forms():
     assert (u.low, u.high) == (1.0, 9.0)
     s = parse_generator("sine:50,20,86400000,2")
     assert (s.base, s.amplitude, s.period_ms, s.noise) == (50.0, 20.0, 86_400_000, 2.0)
-    for bad in ("triangle:1", "uniform:1,inf", "constant:nan", "sine:50,-inf", "sine:50,20,1000,nan"):
+    for bad in (
+        "triangle:1", "uniform:1,inf", "constant:nan", "sine:50,-inf", "sine:50,20,1000,nan",
+        "sine:1,1,0", "sine:1,1,0.5",
+    ):
         with pytest.raises(ValueError):
             parse_generator(bad)
+    with pytest.raises(ValueError, match="period_ms"):
+        NoisySineGen(base=1.0, amplitude=1.0, period_ms=0)
 
 
 def test_thing_rngs_are_reproducible_and_distinct():
@@ -113,6 +120,23 @@ def test_config_from_dict():
     assert names == ["temp", "rpm"]
 
 
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([1, 2], "must be a JSON object"),
+        ({"things": 1, "period_ms": 1, "duration_ms": 1, "bogus": 1, "attribute_model": 2},
+         "unknown farm config keys: attribute_model, bogus"),
+        ({"things": 1, "period_ms": 1, "duration_ms": 1, "attributes": ["constant:1"]},
+         "attributes must map"),
+        ({"things": 1, "period_ms": 1, "duration_ms": 1, "attributes": {"v": 5}},
+         "attributes must map"),
+    ],
+)
+def test_config_from_dict_rejects_malformed_configs(obj, message):
+    with pytest.raises(ValueError, match=message):
+        farm_config_from_dict(obj)
+
+
 # -- virtual runs -----------------------------------------------------------
 
 
@@ -121,7 +145,6 @@ def test_virtual_run_publishes_exact_count(broker):
     report = _virtual_report(broker, cfg)
     assert report.published == 300
     assert report.delivered == 300
-    assert report.complete
     assert report.queues["farm"].published == 300
 
 
@@ -147,6 +170,32 @@ def test_virtual_run_leaves_tuples_when_not_consuming(broker):
     assert got[0].timestamp == 0 and got[-1].timestamp == 900
 
 
+def test_virtual_run_lands_on_each_tick(broker):
+    clock = VirtualClock(5_000)
+    cfg = FarmConfig(things=5, period_ms=100, duration_ms=3_200, seed=3)
+    report = run_farm(cfg, broker, clock=clock)
+    n = cfg.tuples_per_thing
+    last_tick = 5_000 + (n - 1) * 100
+    assert clock.now_ms() == last_tick
+    # Every tick starts on time and its tuples are drained at that instant.
+    assert report.latency_ms == {"p50": 0.0, "p95": 0.0, "p99": 0.0}
+    assert report.jitter_ms == {"p50": 0.0, "p95": 0.0, "p99": 0.0}
+    # A second run starts where the first one left the clock.
+    run_farm(dataclasses.replace(cfg, queue="kept"), broker, clock=clock, consume=False)
+    got = broker.subscribe("kept").drain()
+    stamps = [t.timestamp for t in got if t.source_id == "thing-0004"]
+    assert stamps == [last_tick + k * 100 for k in range(n)]
+
+
+def test_virtual_clock_sleep_advances_time():
+    clock = VirtualClock(10)
+    clock.sleep_ms(0)
+    clock.sleep_ms(-5)
+    assert clock.now_ms() == 10
+    clock.sleep_ms(2.5)
+    assert clock.now_ms() == 13
+
+
 def test_virtual_runs_are_byte_identical(broker):
     def log(queue):
         cfg = FarmConfig(things=3, period_ms=100, duration_ms=3_000, seed=42, queue=queue)
@@ -163,7 +212,7 @@ def test_report_serializations(broker):
     cfg = FarmConfig(things=2, period_ms=100, duration_ms=500, seed=0)
     report = _virtual_report(broker, cfg)
     doc = json.loads(report.to_json())
-    assert doc["published"] == 10 and doc["complete"] is True
+    assert doc["published"] == 10
     row = report.csv_row()
     assert row.split(",")[0] == "2"
     assert len(row.split(",")) == len(report.CSV_HEADER.split(","))
@@ -176,18 +225,29 @@ def test_real_run_small_farm_is_lossless(broker):
     report = run_farm(cfg, broker, clock=SystemClock())
     assert report.published == 5 * 30
     assert report.delivered == report.published
-    assert report.complete
     assert report.throughput_tps > 0
     stats = report.queues["farm"]
     assert stats.published == stats.delivered
 
 
-def test_real_run_publisher_failure_marks_report_incomplete(broker):
-    # Samples are infinite, so every publisher thread raises on its first tick.
+def test_real_run_generator_failure_raises_and_frees_the_queue(broker):
+    # Samples are infinite, which no tuple may carry: the first tick raises.
     cfg = FarmConfig(
         things=50, period_ms=10, duration_ms=200, memory_capacity=5,
         attribute_model=(("v", UniformGen(1.0, math.inf)),),
     )
+    with pytest.raises(ValueError, match="finite"):
+        run_farm(cfg, broker, clock=SystemClock())
+    # The run's subscription was closed, so the queue takes a new consumer.
+    broker.subscribe("farm").close()
+
+
+def test_real_run_starts_no_thread(broker, monkeypatch):
+    def refuse(self):
+        raise RuntimeError("no threads in a farm run")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    cfg = FarmConfig(things=5, period_ms=10, duration_ms=200, topology=Topology.QUEUE_PER_THING)
     report = run_farm(cfg, broker, clock=SystemClock())
-    assert report.published < 50 * 20
-    assert not report.complete
+    assert report.published == report.delivered == 5 * 20
+    assert all(s.published == s.delivered == 20 for s in report.queues.values())
