@@ -1,9 +1,9 @@
 """In-process message-oriented middleware: named FIFO queues with disk spill.
 
-Queues are point-to-point work queues with exactly one consumer; fan-out is
-built by the planner out of multiple queues. Each queue keeps at most
-``memory_capacity`` tuples in memory; the excess goes to append-only NDJSON
-segment files and nothing is ever dropped.
+Queues are point-to-point work queues with exactly one consumer; a pipeline
+fans a stream out by admitting each tuple it drains into every operator.
+Each queue keeps at most ``memory_capacity`` tuples in memory; the excess
+goes to append-only NDJSON segment files and nothing is ever dropped.
 
 Delivery is FIFO overall and exactly-once within the process. The spill
 region always holds tuples newer than the in-memory region: once a queue has

@@ -195,7 +195,7 @@ def _catalog_for(spec: QuerySpec, store: HistoricStore | None) -> Catalog:
             series_attributes[(ref.provider, ref.database, ref.series)] = store.attributes(ref)
     elif spec.sources.historic is not None:
         h = spec.sources.historic
-        series_attributes[(h.provider, h.database, h.series)] = frozenset()
+        series_attributes[(h.provider, h.database, h.series)] = None
     return Catalog(stream_queues=frozenset(queues), series_attributes=series_attributes)
 
 

@@ -1,11 +1,11 @@
 """Compilation of validated query specs into runnable pipelines.
 
-A plan is a DAG of stages joined by broker queues: an optional fetch stage
-that copies the shared source queue into per-operator input queues, then
-one aggregation operator per query, each writing to its own result queue.
-Single-query plans are linear chains; planning several queries over one
-stream fans the fetch stage out instead of competing for the source
-queue's only consumer slot.
+A plan is one aggregation operator per query, each writing to its own
+result queue, over at most one shared source queue. The pipeline holds the
+source queue's only subscription: each pass drains it once and admits every
+tuple straight into each operator that reads the stream, so several queries
+over one stream share one consumer slot and no tuple is copied between
+queues.
 
 Plan ids hash the canonical query text, so planning the same query twice
 yields the same id, queue names and JSON rendering. Planning is pure; the
@@ -57,18 +57,9 @@ def _digest(text: str) -> str:
 
 
 @dataclass(frozen=True)
-class FetchStage:
-    """Forwards every tuple of the source queue to each output queue."""
-
-    name: str
-    source_queue: str
-    output_queues: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class OperatorStage:
     name: str
-    input_queue: str
+    input_queue: str | None  # the stream queue it reads; None for a history-only query
     sink_queue: str
     config: OperatorConfig
     historic: SeriesRef | None
@@ -77,59 +68,39 @@ class OperatorStage:
 @dataclass(frozen=True)
 class PipelinePlan:
     id: str
-    stages: tuple[FetchStage | OperatorStage, ...]
+    source_queue: str | None
+    operator_stages: tuple[OperatorStage, ...]
     queues: tuple[QueueConfig, ...]
-
-    @property
-    def source_queue(self) -> str | None:
-        for stage in self.stages:
-            if isinstance(stage, FetchStage):
-                return stage.source_queue
-        return None
-
-    @property
-    def operator_stages(self) -> tuple[OperatorStage, ...]:
-        return tuple(s for s in self.stages if isinstance(s, OperatorStage))
 
     def to_json(self) -> str:
         """Human-readable plan rendering, stable across runs."""
         stages = []
-        for stage in self.stages:
-            if isinstance(stage, FetchStage):
-                stages.append(
-                    {
-                        "kind": "fetch",
-                        "name": stage.name,
-                        "source_queue": stage.source_queue,
-                        "output_queues": list(stage.output_queues),
-                    }
-                )
-            else:
-                cfg = stage.config
-                stages.append(
-                    {
-                        "kind": "operator",
-                        "name": stage.name,
-                        "input_queue": stage.input_queue,
-                        "sink_queue": stage.sink_queue,
-                        "aggregation": cfg.aggregation.value,
-                        "attribute": cfg.attribute,
-                        "trigger_ms": cfg.trigger.period_ms,
-                        "window": {
-                            "kind": cfg.window.kind.value,
-                            "duration_ms": cfg.window.duration_ms,
-                        },
-                        "historic": None
-                        if stage.historic is None
-                        else {
-                            "provider": stage.historic.provider,
-                            "database": stage.historic.database,
-                            "series": stage.historic.series,
-                        },
-                    }
-                )
+        for stage in self.operator_stages:
+            cfg = stage.config
+            stages.append(
+                {
+                    "name": stage.name,
+                    "input_queue": stage.input_queue,
+                    "sink_queue": stage.sink_queue,
+                    "aggregation": cfg.aggregation.value,
+                    "attribute": cfg.attribute,
+                    "trigger_ms": cfg.trigger.period_ms,
+                    "window": {
+                        "kind": cfg.window.kind.value,
+                        "duration_ms": cfg.window.duration_ms,
+                    },
+                    "historic": None
+                    if stage.historic is None
+                    else {
+                        "provider": stage.historic.provider,
+                        "database": stage.historic.database,
+                        "series": stage.historic.series,
+                    },
+                }
+            )
         obj = {
             "id": self.id,
+            "source_queue": self.source_queue,
             "queues": [
                 {"name": q.name, "memory_capacity": q.memory_capacity} for q in self.queues
             ],
@@ -143,7 +114,7 @@ def result_queue_name(spec: QuerySpec) -> str:
 
 
 def plan(spec: QuerySpec, catalog: Catalog) -> PipelinePlan:
-    """Compile one query into a linear fetch → operator → sink chain."""
+    """Compile one query into a one-operator plan."""
     return plan_many([spec], catalog)
 
 
@@ -162,42 +133,29 @@ def plan_many(specs: list[QuerySpec], catalog: Catalog) -> PipelinePlan:
             + ", ".join(sorted(stream_queues))
         )
 
-    plan_id = _digest("\n".join(render_query(s) for s in specs))
-    queues: list[QueueConfig] = []
-    stages: list[FetchStage | OperatorStage] = []
-    op_stages: list[OperatorStage] = []
-    fed_inputs: list[str] = []
+    stages: list[OperatorStage] = []
     for k, spec in enumerate(specs):
-        input_queue = f"in.{plan_id}.{k}"
-        sink_queue = result_queue_name(spec)
-        queues.append(QueueConfig(name=input_queue))
-        queues.append(QueueConfig(name=sink_queue))
-        if spec.sources.stream is not None:
-            fed_inputs.append(input_queue)
-        historic = None
-        if spec.sources.historic is not None:
-            h = spec.sources.historic
-            historic = SeriesRef(h.provider, h.database, h.series)
-        config = OperatorConfig(
-            trigger=spec.frequency,
-            window=spec.window,
-            aggregation=spec.aggregation,
-            attribute=spec.attribute,
-        )
-        op_stages.append(
+        stream, h = spec.sources.stream, spec.sources.historic
+        stages.append(
             OperatorStage(
                 name=f"op{k}",
-                input_queue=input_queue,
-                sink_queue=sink_queue,
-                config=config,
-                historic=historic,
+                input_queue=None if stream is None else stream.queue,
+                sink_queue=result_queue_name(spec),
+                config=OperatorConfig(
+                    trigger=spec.frequency,
+                    window=spec.window,
+                    aggregation=spec.aggregation,
+                    attribute=spec.attribute,
+                ),
+                historic=None if h is None else SeriesRef(h.provider, h.database, h.series),
             )
         )
-    if stream_queues:
-        (source,) = stream_queues
-        stages.append(FetchStage(name="fetch", source_queue=source, output_queues=tuple(fed_inputs)))
-    stages.extend(op_stages)
-    return PipelinePlan(id=plan_id, stages=tuple(stages), queues=tuple(queues))
+    return PipelinePlan(
+        id=_digest("\n".join(render_query(s) for s in specs)),
+        source_queue=next(iter(stream_queues), None),
+        operator_stages=tuple(stages),
+        queues=tuple(QueueConfig(name=s.sink_queue) for s in stages),
+    )
 
 
 # -- launching --------------------------------------------------------------
@@ -228,30 +186,6 @@ class PipelineStatus:
     queues: dict[str, QueueStats]
 
 
-class _FetchRunner:
-    """The fan-out copier between the source queue and operator inputs."""
-
-    def __init__(self, stage: FetchStage, subscription: Subscription, outputs: list[Queue]):
-        self.stage = stage
-        self.subscription = subscription
-        self.outputs = outputs
-        self.tuples_in = 0
-        self.tuples_out = 0
-
-    def step(self) -> int:
-        batch = self.subscription.drain()
-        if not batch:
-            return 0
-        self.tuples_in += len(batch)
-        for queue in self.outputs:
-            queue.publish_many(batch)
-            self.tuples_out += len(batch)
-        return len(batch)
-
-    def close(self) -> None:
-        self.subscription.close()
-
-
 class Pipeline:
     """A launched plan: owns subscriptions, connections and any driver thread."""
 
@@ -271,7 +205,10 @@ class Pipeline:
         self.state = PipelineState.STARTING
         self.cause: str | None = None
         self.operators: list[Operator] = []
-        self._fetch: _FetchRunner | None = None
+        # The operators that read the stream, and the one subscription that feeds them.
+        self._readers: list[Operator] = []
+        self._source: Subscription | None = None
+        self._fetched = 0
         self._created_queues: list[str] = []
         self._driver: threading.Thread | None = None
         self._stop = threading.Event()
@@ -309,37 +246,36 @@ class Pipeline:
         for config in self.plan.queues:
             self._declare(config)
         source = self.plan.source_queue
-        if source is not None and not self.broker.has_queue(source):
-            self._declare(QueueConfig(name=source))
-        for stage in self.plan.stages:
-            if isinstance(stage, FetchStage):
-                outputs = [self.broker.get_queue(name) for name in stage.output_queues]
-                self._fetch = _FetchRunner(stage, self.broker.subscribe(stage.source_queue), outputs)
-            else:
-                historic = None
-                if stage.historic is not None:
-                    if self.store is None:
-                        raise PlanError(f"stage {stage.name} needs a historic store")
-                    historic = self.store.open_connection(stage.historic)
-                self.operators.append(
-                    Operator(
-                        name=stage.name,
-                        config=stage.config,
-                        fetch=self.broker.subscribe(stage.input_queue),
-                        sink=self.broker.get_queue(stage.sink_queue),
-                        historic=historic,
-                        anchor=anchor,
-                        duration_ms=self.duration_ms,
-                    )
-                )
+        if source is not None:
+            if not self.broker.has_queue(source):
+                self._declare(QueueConfig(name=source))
+            self._source = self.broker.subscribe(source)
+        for stage in self.plan.operator_stages:
+            historic = None
+            if stage.historic is not None:
+                if self.store is None:
+                    raise PlanError(f"stage {stage.name} needs a historic store")
+                historic = self.store.open_connection(stage.historic)
+            op = Operator(
+                name=stage.name,
+                config=stage.config,
+                sink=self.broker.get_queue(stage.sink_queue),
+                historic=historic,
+                anchor=anchor,
+                duration_ms=self.duration_ms,
+            )
+            self.operators.append(op)
+            if stage.input_queue is not None:
+                self._readers.append(op)
 
     def _rollback(self) -> None:
-        if self._fetch is not None:
-            self._fetch.close()
-            self._fetch = None
+        if self._source is not None:
+            self._source.close()
+            self._source = None
         for op in self.operators:
             op.close()
         self.operators = []
+        self._readers = []
         for name in self._created_queues:
             self.broker.delete_queue(name)
         self._created_queues = []
@@ -347,9 +283,10 @@ class Pipeline:
     # -- driving ----------------------------------------------------------
 
     def pump(self, now: int | None = None) -> int:
-        """One co-operative pass over all stages, every operator stepped at
-        instant ``now`` (one clock reading when not given); returns how much
-        moved.
+        """One co-operative pass at instant ``now`` (one clock reading when
+        not given): drain the source once, admit each tuple into every
+        operator that reads the stream, in plan order, then step every
+        operator at ``now``. Returns the tuples drained plus results emitted.
 
         This is the one place a stage failure lands: the state becomes
         FAILED with the error as its cause, every operator stops, and the
@@ -359,8 +296,13 @@ class Pipeline:
             now = self.clock.now_ms()
         moved = 0
         try:
-            if self._fetch is not None:
-                moved += self._fetch.step()
+            if self._source is not None:
+                batch = self._source.drain()
+                self._fetched += len(batch)
+                moved += len(batch)
+                for op in self._readers:
+                    for t in batch:
+                        op.admit(t)
             for op in self.operators:
                 moved += op.step(now)
         except Exception as exc:
@@ -451,16 +393,10 @@ class Pipeline:
 
     def status(self) -> PipelineStatus:
         stages: list[StageStats] = []
-        if self._fetch is not None:
-            stages.append(
-                StageStats(
-                    name=self._fetch.stage.name,
-                    kind="fetch",
-                    tuples_in=self._fetch.tuples_in,
-                    tuples_out=self._fetch.tuples_out,
-                    late_dropped=0,
-                )
-            )
+        if self._source is not None:
+            # Every tuple drained from the source is handed to each reader.
+            fanned = self._fetched * len(self._readers)
+            stages.append(StageStats("fetch", "fetch", self._fetched, fanned, late_dropped=0))
         for op in self.operators:
             m = op.metrics
             stages.append(
@@ -472,13 +408,8 @@ class Pipeline:
                     late_dropped=m.late_dropped,
                 )
             )
-        queues = {}
-        for config in self.plan.queues:
-            if self.broker.has_queue(config.name):
-                queues[config.name] = self.broker.stats(config.name)
-        source = self.plan.source_queue
-        if source is not None and self.broker.has_queue(source):
-            queues[source] = self.broker.stats(source)
+        names = [q.name for q in self.plan.queues] + [self.plan.source_queue]
+        queues = {n: self.broker.stats(n) for n in names if n and self.broker.has_queue(n)}
         return PipelineStatus(
             id=self.plan.id,
             state=self.state,
@@ -504,8 +435,8 @@ class Pipeline:
                     self._driver.join(timeout=DRAIN_TIMEOUT_S)
                 if self.state is PipelineState.RUNNING:
                     self.state = PipelineState.STOPPED
-            if self._fetch is not None:
-                self._fetch.close()
+            if self._source is not None:
+                self._source.close()
             for op in self.operators:
                 op.close()
             return self.status()

@@ -404,15 +404,17 @@ def render_query(spec: QuerySpec) -> str:
 class Catalog:
     """What the engine currently knows: declared queues and registered series.
 
-    ``series_attributes`` maps (provider, database, series) to the attribute
-    names observed in that series; an empty set means the series exists but
-    its attributes are unknown, which disables the attribute check.
+    ``series_attributes`` maps (provider, database, series) to the numeric
+    attribute names of that series; ``None`` means the series exists but its
+    attributes are unknown, which disables the attribute check.
     Stream queues carry no retention bound: a live-only query is answered
     from whatever its stream delivered, however long its window.
     """
 
     stream_queues: frozenset[str] = frozenset()
-    series_attributes: Mapping[tuple[str, str, str], frozenset[str]] = field(default_factory=dict)
+    series_attributes: Mapping[tuple[str, str, str], frozenset[str] | None] = field(
+        default_factory=dict
+    )
 
     @property
     def providers(self) -> frozenset[str]:
@@ -435,12 +437,12 @@ def validate(spec: QuerySpec, catalog: Catalog) -> list[str]:
         h = src.historic
         key = (h.provider, h.database, h.series)
         attrs = catalog.series_attributes.get(key)
-        if attrs is None:
+        if key not in catalog.series_attributes:
             if h.provider not in catalog.providers:
                 diags.append(f"unknown historic provider: {h.provider}")
             else:
                 diags.append(f"unknown historic series: {h.provider}/{h.database}/{h.series}")
-        elif attrs and spec.attribute not in attrs:
+        elif attrs is not None and spec.attribute not in attrs:
             diags.append(
                 f"attribute {spec.attribute!r} not present in series "
                 f"{h.provider}/{h.database}/{h.series}"

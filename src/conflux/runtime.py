@@ -15,13 +15,12 @@ Window strategies:
 Tumbling windows are sliding windows with duration equal to the trigger
 period; the planner normalizes them, so no third kind exists here.
 
-An operator never reads a clock and never catches an error. It is built
-anchored at one instant, and each ``step(now)`` drains its fetch
-subscription, admits tuples to the buffer, fires the triggers due at or
-before ``now`` and emits results to its sink queue. The pipeline that owns
-it reads the clock, passes the same ``now`` to every operator, and is the
-one place a stage failure lands. Operators interact only through broker
-queues.
+An operator never reads a clock, never reads a queue and never catches an
+error. It is built anchored at one instant; ``admit`` buffers one stream
+tuple, and each ``step(now)`` fires the triggers due at or before ``now``
+and emits results to its sink queue. The pipeline that owns it drains the
+source, admits every tuple, reads the clock, passes the same ``now`` to
+every operator, and is the one place a stage failure lands.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from . import aggregates
-from .broker import Queue, Subscription
+from .broker import Queue
 from .model import Interval, StreamTuple, TimeUnit, is_numeric_value
 from .query import AggregationFunction, Frequency, WindowKind, WindowSpec
 from .store import Connection, HistoricQuery
@@ -195,7 +194,7 @@ class OperatorMetrics:
 
 
 class Operator:
-    """One scheduled aggregation stage between a fetch queue and a sink queue.
+    """One scheduled aggregation stage: admits stream tuples, fires into a sink queue.
 
     A plain state machine: it never reads a clock. It is built anchored at
     ``anchor``, which is also the watermark (the pipeline's launch instant,
@@ -209,7 +208,6 @@ class Operator:
         self,
         name: str,
         config: OperatorConfig,
-        fetch: Subscription,
         sink: Queue,
         historic: Connection | None,
         anchor: int,
@@ -217,7 +215,6 @@ class Operator:
     ):
         self.name = name
         self.config = config
-        self.fetch = fetch
         self.sink = sink
         self.historic = historic
         self.anchor = anchor
@@ -238,9 +235,8 @@ class Operator:
         self._stopped = True
 
     def close(self) -> None:
-        """Release the fetch subscription and the historic connection."""
+        """Release the historic connection."""
         self.stop()
-        self.fetch.close()
         if self.historic is not None:
             self.historic.close()
 
@@ -284,22 +280,15 @@ class Operator:
         self.metrics.results_emitted += 1
 
     def step(self, now: int) -> int:
-        """One co-operative iteration at instant ``now``: drain, admit, fire
-        every trigger due at or before ``now``.
+        """Fire every trigger due at or before ``now``; returns how many fired.
 
-        Returns the number of tuples drained plus results emitted, so a
-        driver can pump a stage chain until nothing moves. An error, such
-        as ``ClosedQueueError`` from a closed sink, propagates to the driver.
+        An error, such as ``ClosedQueueError`` from a closed sink, propagates
+        to the driver.
         """
-        if self._stopped:
-            return 0
-        moved = 0
-        for t in self.fetch.drain():
-            self.admit(t)
-            moved += 1
+        fired = 0
         while not self.finished and self.next_trigger_ms <= now:
             self._fire(self.next_trigger_ms)
             self.next_trigger_ms += self.config.trigger.period_ms
             self._evict()
-            moved += 1
-        return moved
+            fired += 1
+        return fired

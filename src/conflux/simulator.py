@@ -122,6 +122,12 @@ class FarmConfig:
     memory_capacity: int = 100_000
 
     def __post_init__(self) -> None:
+        for name in ("things", "period_ms", "duration_ms", "memory_capacity"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        if not isinstance(self.queue, str):
+            raise ValueError(f"queue must be a str, got {self.queue!r}")
         if self.things < 1:
             raise ValueError(f"things must be >= 1, got {self.things}")
         if self.period_ms < 1:

@@ -148,14 +148,15 @@ def test_query_explain_prints_plan(roots, capsys):
     assert "unrecognized arguments: --explain" in capsys.readouterr().err
     assert main(["explain", Q_STREAM]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert [s["kind"] for s in doc["stages"]] == ["fetch", "operator"]
-    assert doc["stages"][1]["historic"] is None
+    assert doc["source_queue"] == "neubotspeed"
+    assert [s["input_queue"] for s in doc["stages"]] == ["neubotspeed"]
+    assert doc["stages"][0]["historic"] is None
 
 
 def test_explain_subcommand_without_store(capsys):
     assert main(["explain", NEUBOT_SPEED_MEAN]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["stages"][1]["historic"]["series"] == "speedtest"
+    assert doc["stages"][0]["historic"]["series"] == "speedtest"
 
 
 def test_query_virtual_replay_writes_outputs(roots, tmp_path, capsys):
@@ -288,18 +289,22 @@ def test_replay_subcommand_is_gone(roots, capsys):
 
 
 def test_query_on_a_never_numeric_attribute_is_plan_error(roots, tmp_path, capsys):
-    log = tmp_path / "h.ndjson"
-    _write_ndjson(log, [
-        StreamTuple(timestamp=k * 1_000, attributes={"v": "n/a", "w": 2.0}, source_id="")
-        for k in range(2)
-    ])
-    assert main(["ingest", str(log), "--provider", "influxdb", "--db", "d", "--series", "s",
-                 "--store-root", str(roots)]) == 0
-    rc = main(["query", "EVERY 1 seconds compute the mean value of v of the last 10 seconds "
-               "FROM influxdb database d series s", "--duration", "2s",
-               "--store-root", str(roots)])
-    assert rc == 1
-    assert "plan error: attribute 'v' not present" in capsys.readouterr().err
+    # In series s2 no attribute is numeric at all.
+    for series, other in (("s", {"w": 2.0}), ("s2", {})):
+        log = tmp_path / f"{series}.ndjson"
+        _write_ndjson(log, [
+            StreamTuple(timestamp=k * 1_000, attributes={"v": v, **other}, source_id="")
+            for k, v in enumerate(["n/a", "x"])
+        ])
+        assert main(["ingest", str(log), "--provider", "influxdb", "--db", "d",
+                     "--series", series, "--store-root", str(roots)]) == 0
+        rc = main(["query", "EVERY 1 seconds compute the mean value of v of the last 10 seconds "
+                   f"FROM influxdb database d series {series}", "--duration", "2s",
+                   "--store-root", str(roots)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("plan error: attribute 'v' not present"), err
+        assert len(err.splitlines()) == 1
 
 
 def test_query_unknown_series_is_plan_error(roots, capsys):
@@ -369,6 +374,10 @@ def test_bench_config_file(roots, tmp_path, capsys):
         ({"things": 2, "period_ms": 100, "duration_ms": 1000, "bogus": 1},
          "unknown farm config keys: bogus"),
         ([1, 2], "must be a JSON object"),
+        ({"things": "3", "period_ms": 100, "duration_ms": 1000}, "things must be an int"),
+        ({"things": 2.5, "period_ms": 100, "duration_ms": 1000}, "things must be an int"),
+        ({"things": 2, "period_ms": 100, "duration_ms": 1000, "queue": 5},
+         "queue must be a str"),
     ],
 )
 def test_bench_bad_config_is_runtime_error(roots, tmp_path, capsys, config, message):

@@ -53,3 +53,44 @@ def test_workload_driver_runs_one_live_query(perfbench, tmp_path):
     assert (out.attempted, out.failed) == (1, 0), out.mismatches
     assert out.layer["fetch.tuples_in"] == out.layer["fetch.tuples_out"] == len(ts)
     assert out.layer["runtime.late_dropped"] == 0
+
+
+def test_workload_driver_traces_a_fan_out_plan(perfbench, tmp_path):
+    # A traced step reads the stats of every operator stage's input queue, and
+    # the fan-out counters feed planner.fanout_copies_per_tuple.
+    tracer, workloads = perfbench
+    t = tracer.Tracer()
+    ctx = workloads.Context(seed=1, seconds=1.0, trace=True, work=tmp_path, tracer=t)
+    out = workloads.Outcome()
+    specs = [
+        parse_query(
+            "EVERY 1 minutes compute the max value of download_speed of the last 1 minutes "
+            "from streaming rabbitmq queue farm"
+        ),
+        parse_query(
+            "EVERY 1 minutes compute the mean value of download_speed of the last 30 seconds "
+            "from streaming rabbitmq queue farm"
+        ),
+    ]
+    catalog = Catalog(stream_queues=frozenset({"farm"}), series_attributes={})
+    clock = VirtualClock(0)
+    ts = array("q", range(0, 60_000, 5_000))
+    values = array("d", (float(k % 7) for k in range(len(ts))))
+    arrivals = [
+        (t, StreamTuple(t, {"download_speed": v}, "thing")) for t, v in zip(ts, values)
+    ]
+    (seg,) = workloads.segments(arrivals, 0, 60_000, 1)
+    timeline = workloads.Timeline(ts, {"download_speed": values}, arrival=ts)
+    t.install()
+    try:
+        pipe = workloads.start_pipeline(ctx, specs, catalog, None, clock, "fanout")
+        drive = workloads.Driver(pipe, clock, ctx, out)
+        drive.segment(1, seg, 60_000)
+        workloads.check_results(out, specs, drive.results(), 60_000, (timeline,), "fanout")
+        drive.finish()
+    finally:
+        t.uninstall()
+    assert (out.attempted, out.failed) == (2, 0), out.mismatches
+    assert out.layer["fetch.tuples_in"] == len(ts)
+    assert out.layer["fetch.tuples_out"] == 2 * out.layer["fetch.tuples_in"]
+    assert t.totals["runtime.admit"][0] == 2 * len(ts)

@@ -6,11 +6,10 @@ import time
 import pytest
 
 from conflux import planner
-from conflux.broker import ClosedQueueError, QueueConfig
+from conflux.broker import Broker, ClosedQueueError, QueueConfig
 from conflux.clock import VirtualClock
 from conflux.model import StreamTuple
 from conflux.planner import (
-    FetchStage,
     OperatorStage,
     PipelineState,
     PlanError,
@@ -20,7 +19,7 @@ from conflux.planner import (
     result_queue_name,
 )
 from conflux.query import AggregationFunction, Catalog, WindowKind, parse_query, render_query
-from conflux.runtime import result_from_tuple
+from conflux.runtime import encode_result, result_from_tuple
 from conflux.store import Connection, HistoricStore, SeriesRef
 
 from oracle import close, single_pass_window
@@ -57,19 +56,17 @@ def _feed(n, period_ms, start=0, seed=0, attr="download_speed"):
 def test_plan_shape_for_hybrid_query(catalog):
     spec = parse_query(NEUBOT_SPEED_MEAN)
     p = plan(spec, catalog)
-    fetch, op = p.stages
-    assert isinstance(fetch, FetchStage)
-    assert fetch.source_queue == "neubotspeed"
-    assert fetch.output_queues == (f"in.{p.id}.0",)
+    assert p.source_queue == "neubotspeed"
+    (op,) = p.operator_stages
     assert isinstance(op, OperatorStage)
-    assert op.input_queue == f"in.{p.id}.0"
+    assert op.input_queue == "neubotspeed"
     assert op.sink_queue == result_queue_name(spec)
     assert op.config.aggregation is AggregationFunction.MEAN
     assert op.config.attribute == "download_speed"
     assert op.config.trigger.period_ms == 20_000
     assert op.config.window.duration_ms == 10 * MIN
     assert op.historic == SeriesRef("influxdb", "neubot", "speedtest")
-    assert {q.name for q in p.queues} == {op.input_queue, op.sink_queue}
+    assert [q.name for q in p.queues] == [op.sink_queue]
 
 
 def test_plan_id_and_result_queue_stable(catalog):
@@ -88,13 +85,68 @@ def test_plan_refuses_invalid_spec(catalog):
         plan(spec, catalog)
 
 
-def test_plan_many_fans_out_one_fetch(catalog):
-    specs = [parse_query(NEUBOT_SPEED_MEAN), parse_query(STREAM_MAX)]
-    p = plan_many(specs, catalog)
-    fetch = p.stages[0]
-    assert isinstance(fetch, FetchStage)
-    assert fetch.output_queues == (f"in.{p.id}.0", f"in.{p.id}.1")
-    assert len(p.operator_stages) == 2
+FAN_OUT = [
+    "EVERY 10 seconds compute the max value of download_speed of the last 30 seconds "
+    "from streaming rabbitmq queue neubotspeed",
+    "EVERY 5 seconds compute the mean value of download_speed of the last 5 seconds "
+    "from streaming rabbitmq queue neubotspeed",
+    "EVERY 20 seconds compute the min value of download_speed starting 10 seconds ago "
+    "from streaming rabbitmq queue neubotspeed",
+]
+
+
+def _late_arrivals(seconds, seed=3):
+    """One tuple a second, one in ten arriving 1-5 s late, one of them not numeric:
+    (arrival second, tuple) pairs."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(seconds):
+        v = "n/a" if k == 42 else rng.uniform(1, 99)
+        delay = rng.randint(1, 5) if rng.random() < 0.1 else 0
+        out.append((k + delay, StreamTuple(k * 1_000, {"download_speed": v}, f"t{k}")))
+    return out
+
+
+def _run_fan_out(spill_root, catalog, texts, arrivals, seconds):
+    """Launch one plan over ``texts``, publish each tuple at its arrival second
+    and pump there; (queue names while running, result lines and (late,
+    non-numeric) counts per operator, final status)."""
+    broker = Broker(spill_root)
+    p = plan_many([parse_query(t) for t in texts], catalog)
+    clock = VirtualClock(0)
+    pipe = launch(p, broker, clock=clock, duration_ms=seconds * 1_000, threaded=False)
+    sinks = [broker.subscribe(s.sink_queue) for s in p.operator_stages]
+    source = broker.get_queue(p.source_queue)
+    for second in range(seconds + 1):
+        clock.set_ms(second * 1_000)
+        source.publish_many([t for at, t in arrivals if at == second])
+        pipe.pump_until_quiet()
+    names = broker.queue_names()
+    lines = [[encode_result(t) for t in sink.drain()] for sink in sinks]
+    counts = [(op.metrics.late_dropped, op.metrics.non_numeric_skipped) for op in pipe.operators]
+    status = pipe.stop()
+    broker.shutdown()
+    return names, lines, counts, status
+
+
+def test_fan_out_admits_each_source_tuple_into_every_operator(tmp_path, catalog):
+    seconds = 120
+    arrivals = _late_arrivals(seconds)
+    names, lines, counts, status = _run_fan_out(
+        tmp_path / "fan", catalog, FAN_OUT, arrivals, seconds
+    )
+    # One source queue and one result queue per query: no per-operator copies.
+    assert names == sorted(["neubotspeed"] + [result_queue_name(parse_query(t)) for t in FAN_OUT])
+    fetch = status.stages[0]
+    assert fetch.name == "fetch" and fetch.tuples_out == 3 * fetch.tuples_in
+    for k, text in enumerate(FAN_OUT):
+        _, solo_lines, solo_counts, _ = _run_fan_out(
+            tmp_path / f"solo{k}", catalog, [text], arrivals, seconds
+        )
+        assert lines[k] == solo_lines[0] and lines[k]
+        assert counts[k] == solo_counts[0]
+    assert sum(late for late, _ in counts) > 0
+    assert any(non_numeric == 1 for _, non_numeric in counts)
 
 
 def test_plan_many_requires_shared_stream(catalog):
@@ -117,14 +169,15 @@ def test_historic_only_plan_has_no_fetch(catalog):
     )
     p = plan(parse_query(text), catalog)
     assert p.source_queue is None
-    assert all(isinstance(s, OperatorStage) for s in p.stages)
+    assert [s.input_queue for s in p.operator_stages] == [None]
 
 
 def test_plan_json_is_machine_readable(catalog):
     doc = json.loads(plan(parse_query(NEUBOT_SPEED_MEAN), catalog).to_json())
     assert doc["id"]
-    assert [s["kind"] for s in doc["stages"]] == ["fetch", "operator"]
-    assert doc["stages"][1]["window"] == {"kind": "sliding", "duration_ms": 10 * MIN}
+    assert doc["source_queue"] == "neubotspeed"
+    assert [s["name"] for s in doc["stages"]] == ["op0"]
+    assert doc["stages"][0]["window"] == {"kind": "sliding", "duration_ms": 10 * MIN}
 
 
 # -- launched pipelines -----------------------------------------------------
@@ -144,7 +197,7 @@ def test_pipeline_matches_direct_evaluation(broker, catalog):
     pipe, clock, p = _launch_virtual(broker, catalog, STREAM_MAX, duration_ms=10 * MIN)
     assert pipe.state is PipelineState.RUNNING
     pipe.run(feed=feed, end_ms=10 * MIN)
-    results = broker.subscribe(p.stages[1].sink_queue)
+    results = broker.subscribe(p.operator_stages[0].sink_queue)
     got = [result_from_tuple(t) for t in results.drain()]
     pipe.stop()
     assert len(got) == 5
@@ -166,7 +219,7 @@ def test_pipeline_counts_conserve_at_quiescence(broker, catalog):
     for name, stats in status.queues.items():
         assert stats.published == stats.delivered + stats.in_memory + stats.on_disk, name
     fetch = status.stages[0]
-    assert (fetch.tuples_in, fetch.tuples_out) == (150, 150)
+    assert (fetch.name, fetch.tuples_in, fetch.tuples_out) == ("fetch", 150, 150)
     pipe.stop()
 
 
@@ -181,7 +234,7 @@ def test_hybrid_pipeline_reads_history(broker, catalog):
     )
     live = _feed(20, 1_000, start=60_000, seed=6)
     pipe.run(feed=live, end_ms=100_000)
-    got = [result_from_tuple(t) for t in broker.subscribe(p.stages[1].sink_queue).drain()]
+    got = [result_from_tuple(t) for t in broker.subscribe(p.operator_stages[0].sink_queue).drain()]
     pipe.stop()
     store.close()
     assert len(got) == 2
@@ -217,7 +270,7 @@ def test_second_pipeline_on_same_source_is_refused(broker, catalog):
     assert second.state is PipelineState.FAILED
     assert "consumer" in second.cause or "subscribe" in second.cause
     # The running pipeline kept its queues.
-    assert broker.has_queue(p.stages[1].sink_queue)
+    assert broker.has_queue(p.operator_stages[0].sink_queue)
     first.stop()
 
 
@@ -268,7 +321,7 @@ def test_threaded_pipeline_small_run(broker, catalog):
         time.sleep(0.02)
     status = pipe.stop()
     assert status.state is PipelineState.STOPPED
-    got = broker.subscribe(p.stages[1].sink_queue).drain()
+    got = broker.subscribe(p.operator_stages[0].sink_queue).drain()
     assert len(got) == 1
     assert result_from_tuple(got[0]).count == 5
 
@@ -391,7 +444,7 @@ def test_real_clock_feed_just_before_each_trigger_is_counted(
         for k in range(1, 11)
     ]
     pipe.run(feed)
-    got = [result_from_tuple(t) for t in broker.subscribe(p.stages[1].sink_queue).drain()]
+    got = [result_from_tuple(t) for t in broker.subscribe(p.operator_stages[0].sink_queue).drain()]
     assert pipe.stop().state is PipelineState.STOPPED
     assert pipe.operators[0].metrics.late_dropped == 0
     assert [r.live_count for r in got] == [1] * 10
@@ -402,7 +455,7 @@ def test_closed_result_queue_fails_the_pipeline(broker, catalog, no_poll_wait, r
     clock = SteppingClock(0, 1_000) if real else VirtualClock(0)
     p = plan(parse_query(STREAM_MAX), catalog)
     pipe = launch(p, broker, clock=clock, duration_ms=4 * MIN, threaded=False)
-    sink = p.stages[1].sink_queue
+    sink = p.operator_stages[0].sink_queue
     broker.get_queue(sink).close()
     with pytest.raises(ClosedQueueError):
         pipe.run(_feed(50, 4_000), end_ms=4 * MIN)

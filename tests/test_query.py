@@ -166,10 +166,11 @@ def test_render_stream_only_elides_historic():
 
 # -- validation -------------------------------------------------------------
 
+_SPEEDTEST = ("influxdb", "neubot", "speedtest")
 _CATALOG = Catalog(
     stream_queues=frozenset({"neubotspeed"}),
     series_attributes={
-        ("influxdb", "neubot", "speedtest"): frozenset({"download_speed", "upload_speed"}),
+        _SPEEDTEST: frozenset({"download_speed", "upload_speed"}),
         ("cassandra", "neubot", "speedtests"): frozenset({"download_speed", "upload_speed"}),
     },
 )
@@ -210,8 +211,9 @@ def test_validate_unknown_attribute():
         "every 1 minutes compute the mean value of missing of the last 5 minutes "
         "from influxdb database neubot series speedtest"
     )
-    assert any("'missing' not present" in d for d in validate(spec, _CATALOG))
-
+    # An empty set is a series with no numeric attribute, not an unknown one.
+    for catalog in (_CATALOG, Catalog(series_attributes={_SPEEDTEST: frozenset()})):
+        assert any("'missing' not present" in d for d in validate(spec, catalog))
 
 # -- round-trip property ----------------------------------------------------
 

@@ -184,24 +184,22 @@ def test_empty_result_omits_value():
 
 
 def _operator(broker, clock, config, name="op", store=None, duration_ms=None):
-    """An operator anchored at the clock's current instant."""
-    feed = broker.declare_queue(QueueConfig("feed"))
+    """An operator anchored at the clock's current instant, and its results."""
     sink = broker.declare_queue(QueueConfig("sink"))
     conn = store.open_connection(REF) if store is not None else None
     return (
-        Operator(name, config, broker.subscribe(feed), sink, conn, clock.now_ms(), duration_ms),
-        feed,
+        Operator(name, config, sink, conn, clock.now_ms(), duration_ms),
         broker.subscribe(sink),
     )
 
 
 def _pump_virtual(op, clock, feed_plan, end_ms, step_ms=1_000):
-    """Advance the clock in fixed steps, publishing due feed tuples first."""
+    """Advance the clock in fixed steps, admitting due feed tuples before each step."""
     i = 0
     while clock.now_ms() < end_ms:
         clock.set_ms(clock.now_ms() + step_ms)
         while i < len(feed_plan) and feed_plan[i].timestamp <= clock.now_ms():
-            yield feed_plan[i]
+            op.admit(feed_plan[i])
             i += 1
         op.step(clock.now_ms())
 
@@ -209,11 +207,10 @@ def _pump_virtual(op, clock, feed_plan, end_ms, step_ms=1_000):
 def test_bounded_run_emits_exact_result_count(broker):
     clock = VirtualClock(0)
     cfg = _config(WindowSpec(WindowKind.SLIDING, 2, TimeUnit.MINUTES), trigger_s=120)
-    op, feed, results = _operator(broker, clock, cfg, duration_ms=20 * MIN)
+    op, results = _operator(broker, clock, cfg, duration_ms=20 * MIN)
     rng = random.Random(1)
     plan = [_t(ts, rng.uniform(1, 9), src=str(ts)) for ts in range(0, 20 * MIN, 7_000)]
-    for t in _pump_virtual(op, clock, plan, 20 * MIN):
-        feed.publish(t)
+    _pump_virtual(op, clock, plan, 20 * MIN)
     op.step(clock.now_ms())
     assert op.finished
     got = results.drain()
@@ -225,9 +222,8 @@ def test_bounded_run_emits_exact_result_count(broker):
 def test_quiet_windows_still_emit(broker):
     clock = VirtualClock(0)
     cfg = _config(WindowSpec(WindowKind.SLIDING, 1, TimeUnit.MINUTES), trigger_s=60)
-    op, _, results = _operator(broker, clock, cfg, duration_ms=3 * MIN)
-    for _ in _pump_virtual(op, clock, [], 3 * MIN):
-        pass
+    op, results = _operator(broker, clock, cfg, duration_ms=3 * MIN)
+    _pump_virtual(op, clock, [], 3 * MIN)
     op.step(clock.now_ms())
     rs = [result_from_tuple(t) for t in results.drain()]
     assert [r.count for r in rs] == [0, 0, 0]
@@ -238,11 +234,10 @@ def test_results_match_oracle_per_window(broker):
     clock = VirtualClock(0)
     window = WindowSpec(WindowKind.SLIDING, 3, TimeUnit.MINUTES)
     cfg = _config(window, trigger_s=60, fn=AggregationFunction.MAX)
-    op, feed, results = _operator(broker, clock, cfg, duration_ms=15 * MIN)
+    op, results = _operator(broker, clock, cfg, duration_ms=15 * MIN)
     rng = random.Random(9)
     plan = [_t(ts, rng.uniform(1, 100), src=str(ts)) for ts in range(500, 15 * MIN, 1_700)]
-    for t in _pump_virtual(op, clock, plan, 15 * MIN):
-        feed.publish(t)
+    _pump_virtual(op, clock, plan, 15 * MIN)
     op.step(clock.now_ms())
     for out in results.drain():
         r = result_from_tuple(out)
@@ -256,13 +251,12 @@ def test_results_match_oracle_per_window(broker):
 def test_landmark_counts_never_shrink(broker):
     clock = VirtualClock(1_000_000)
     cfg = _config(WindowSpec(WindowKind.LANDMARK, 1, TimeUnit.HOURS), trigger_s=60)
-    op, feed, results = _operator(broker, clock, cfg, duration_ms=10 * MIN)
+    op, results = _operator(broker, clock, cfg, duration_ms=10 * MIN)
     rng = random.Random(4)
     plan = [
         _t(1_000_000 + ts, rng.uniform(1, 9), src=str(ts)) for ts in range(0, 10 * MIN, 2_500)
     ]
-    for t in _pump_virtual(op, clock, plan, 1_000_000 + 10 * MIN):
-        feed.publish(t)
+    _pump_virtual(op, clock, plan, 1_000_000 + 10 * MIN)
     op.step(clock.now_ms())
     counts = [result_from_tuple(t).count for t in results.drain()]
     assert len(counts) == 10
@@ -272,7 +266,7 @@ def test_landmark_counts_never_shrink(broker):
 def test_late_tuples_dropped_and_counted(broker):
     clock = VirtualClock(0)
     cfg = _config(WindowSpec(WindowKind.SLIDING, 1, TimeUnit.MINUTES), trigger_s=60)
-    op, _, _ = _operator(broker, clock, cfg)
+    op, _ = _operator(broker, clock, cfg)
     clock.set_ms(5 * MIN)
     op.step(clock.now_ms())
     assert not op.admit(_t(3 * MIN, 1.0))
@@ -284,7 +278,7 @@ def test_late_tuples_dropped_and_counted(broker):
 def test_non_numeric_tuples_are_not_buffered(broker):
     clock = VirtualClock(0)
     cfg = _config(WindowSpec(WindowKind.SLIDING, 1, TimeUnit.MINUTES), trigger_s=60)
-    op, _, results = _operator(broker, clock, cfg, duration_ms=MIN)
+    op, results = _operator(broker, clock, cfg, duration_ms=MIN)
     assert not op.admit(_t(1_000, "n/a"))
     assert not op.admit(StreamTuple(timestamp=2_000, attributes={"w": 1.0}))
     assert (op.metrics.non_numeric_skipped, op.metrics.buffered) == (2, 0)
@@ -302,7 +296,7 @@ def test_int_beyond_float_range_is_skipped_not_fired(broker):
         trigger_s=60,
         fn=AggregationFunction.MAX,
     )
-    op, _, results = _operator(broker, clock, cfg, duration_ms=MIN)
+    op, results = _operator(broker, clock, cfg, duration_ms=MIN)
     assert not op.admit(_t(1_000, 10**400))
     clock.set_ms(MIN)
     op.step(clock.now_ms())
@@ -314,10 +308,9 @@ def test_int_beyond_float_range_is_skipped_not_fired(broker):
 def test_buffer_evicted_after_firing(broker):
     clock = VirtualClock(0)
     cfg = _config(WindowSpec(WindowKind.SLIDING, 1, TimeUnit.MINUTES), trigger_s=60)
-    op, feed, _ = _operator(broker, clock, cfg, duration_ms=10 * MIN)
+    op, _ = _operator(broker, clock, cfg, duration_ms=10 * MIN)
     plan = [_t(ts, 1.0, src=str(ts)) for ts in range(0, 10 * MIN, 1_000)]
-    for t in _pump_virtual(op, clock, plan, 10 * MIN):
-        feed.publish(t)
+    _pump_virtual(op, clock, plan, 10 * MIN)
     op.step(clock.now_ms())
     # Only the final minute of tuples may remain buffered.
     assert op.metrics.buffered <= 61
@@ -328,10 +321,9 @@ def test_operator_uses_history_before_start(broker, mem_store):
     mem_store.ingest(REF, [_t(ts, 2.0, src=str(ts)) for ts in range(0, 60_000, 10_000)])
     clock = VirtualClock(60_000)
     cfg = _config(WindowSpec(WindowKind.SLIDING, 2, TimeUnit.MINUTES), trigger_s=60)
-    op, feed, results = _operator(broker, clock, cfg, store=mem_store, duration_ms=MIN)
-    feed.publish(_t(70_000, 8.0))
-    for _ in _pump_virtual(op, clock, [], 2 * MIN):
-        op.step(clock.now_ms())
+    op, results = _operator(broker, clock, cfg, store=mem_store, duration_ms=MIN)
+    op.admit(_t(70_000, 8.0))
+    _pump_virtual(op, clock, [], 2 * MIN)
     r = result_from_tuple(results.drain()[0])
     assert (r.history_count, r.live_count) == (6, 1)
     assert close(r.value, (6 * 2.0 + 8.0) / 7)
@@ -343,7 +335,7 @@ def test_behind_watermark_counted_not_buffered(broker, mem_store):
     mem_store.ingest(REF, [_t(0, 2.0)])
     clock = VirtualClock(60_000)
     cfg = _config(WindowSpec(WindowKind.SLIDING, 2, TimeUnit.MINUTES), trigger_s=60)
-    op, _, _ = _operator(broker, clock, cfg, store=mem_store)
+    op, _ = _operator(broker, clock, cfg, store=mem_store)
     # Inside the next window, so not late, but the store answers before 60 s.
     assert not op.admit(_t(30_000, 5.0))
     m = op.metrics
@@ -355,7 +347,7 @@ def test_behind_watermark_counted_not_buffered(broker, mem_store):
 def test_live_only_operator_buffers_tuples_before_start(broker):
     clock = VirtualClock(60_000)
     cfg = _config(WindowSpec(WindowKind.SLIDING, 2, TimeUnit.MINUTES), trigger_s=60)
-    op, _, _ = _operator(broker, clock, cfg)
+    op, _ = _operator(broker, clock, cfg)
     assert op.admit(_t(30_000, 5.0))
     assert (op.metrics.behind_watermark, op.metrics.buffered) == (0, 1)
 
@@ -363,7 +355,7 @@ def test_live_only_operator_buffers_tuples_before_start(broker):
 def test_sink_closed_raises_from_step(broker):
     clock = VirtualClock(0)
     cfg = _config(WindowSpec(WindowKind.SLIDING, 1, TimeUnit.MINUTES), trigger_s=60)
-    op, _, results = _operator(broker, clock, cfg)
+    op, results = _operator(broker, clock, cfg)
     results.close()
     broker.get_queue("sink").close()
     with pytest.raises(ClosedQueueError, match="'sink' is closed"):
@@ -374,15 +366,13 @@ def test_sink_closed_raises_from_step(broker):
 def test_two_virtual_runs_are_byte_identical(broker):
     def run(tag):
         clock = VirtualClock(0)
-        feed = broker.declare_queue(QueueConfig(f"feed.{tag}"))
         sink = broker.declare_queue(QueueConfig(f"sink.{tag}"))
         cfg = _config(WindowSpec(WindowKind.SLIDING, 2, TimeUnit.MINUTES), trigger_s=120)
-        op = Operator("op", cfg, broker.subscribe(feed), sink, None, clock.now_ms(), 20 * MIN)
+        op = Operator("op", cfg, sink, None, clock.now_ms(), 20 * MIN)
         rng = random.Random(42)
         plan = [_t(ts, rng.uniform(1, 9), src=str(ts)) for ts in range(0, 20 * MIN, 3_000)]
         out = broker.subscribe(sink)
-        for t in _pump_virtual(op, clock, plan, 20 * MIN):
-            feed.publish(t)
+        _pump_virtual(op, clock, plan, 20 * MIN)
         op.step(clock.now_ms())
         return b"".join(
             (encode_result(t) + "\n").encode() for t in out.drain()
@@ -438,12 +428,9 @@ class OperatorMachine(RuleBasedStateMachine):
             self.store.register_series(REF)
             self.store.ingest(REF, self.history)
             conn = self.store.open_connection(REF)
-        self.feed = self.broker.declare_queue(QueueConfig("feed"))
         sink = self.broker.declare_queue(QueueConfig("sink"))
         duration_ms = None if periods is None else periods * self.cfg.trigger.period_ms
-        self.op = Operator(
-            "op", self.cfg, self.broker.subscribe(self.feed), sink, conn, ANCHOR, duration_ms
-        )
+        self.op = Operator("op", self.cfg, sink, conn, ANCHOR, duration_ms)
         self.results = self.broker.subscribe(sink)
         self.now = ANCHOR
         self.next = ANCHOR + self.cfg.trigger.period_ms
@@ -486,13 +473,15 @@ class OperatorMachine(RuleBasedStateMachine):
         ts = self.next + offset if near is None else edges[near] + jitter
         v, numeric = value
         t = StreamTuple(ts, _attrs(v), "live")
-        self.feed.publish(t)
         self.pending.append((t, numeric))
 
     @rule(delta=st.integers(0, 3_000) | st.sampled_from([500, 1_000, 2_000]))
     def step(self, delta):
         self.now += delta
-        moved = self.op.step(self.now)
+        # As a pipeline pass does: admit everything that arrived, then step.
+        for t, _ in self.pending:
+            self.op.admit(t)
+        fired_count = self.op.step(self.now)
         bound = self._window_start(self.next)
         for t, numeric in self.pending:
             if t.timestamp < bound:
@@ -508,7 +497,7 @@ class OperatorMachine(RuleBasedStateMachine):
             fired.append(self.next)
             self.next += self.cfg.trigger.period_ms
         got = [result_from_tuple(t) for t in self.results.drain()]
-        assert moved == len(self.pending) + len(fired)
+        assert fired_count == len(fired)
         self.pending = []
         assert [r.trigger_time for r in got] == fired
         for r in got:
