@@ -5,11 +5,22 @@ Series are addressed by (provider, database, series). The provider names
 client implementations are a plug point, not included. A series must be
 registered before ingest or query.
 
-Storage is one directory per series holding append-only NDJSON segments;
-the in-memory columns are rebuilt from them on open, and a line that does
-not decode (a torn write) is skipped and counted in ``bad_lines``. A store
-opened with ``root=None`` keeps everything in memory, which is convenient
-for tests.
+Storage is one directory per series holding append-only NDJSON segments,
+the durable format and the source of truth. A line that does not decode (a
+torn write) is skipped and counted in ``bad_lines``. A store opened with
+``root=None`` keeps everything in memory, which is convenient for tests.
+
+Opening a series reads its columns from a checkpoint when one covers the log
+exactly (after the LSM pattern of an immutable checkpoint beside a log,
+O'Neil et al., Acta Informatica 1996). ``close`` writes ``columns.ckpt`` into
+every series directory ingested into that session: a JSON header line (the
+series counters, each column's array lengths, and the name, byte size and
+crc32 of every segment), the raw column arrays, and a crc32 of all that.
+Open uses it only if the crc32 matches and the segments present are exactly
+the listed ones, with the same sizes and crc32s; otherwise it is ignored and
+every segment line is decoded, as with no checkpoint. A checkpoint open builds
+no deduplication keys: the first ingest into the series builds them from the
+log, so a store that is only queried never holds them.
 
 In memory a series is columnar (after Gorilla, Pelkonen et al., VLDB 2015):
 per attribute, a time-sorted ``array('q')`` of timestamps with an
@@ -17,9 +28,10 @@ per attribute, a time-sorted ``array('q')`` of timestamps with an
 timestamps where the attribute is present but not numeric. No per-tuple
 objects are kept apart from the exact deduplication key. Each column has a
 block index: (sum, min, max) of every full block of BLOCK values. Ingest
-only appends, which leaves the index stale; the next query of the column
-sorts it (stably, so equal timestamps keep ingest order) if an append
-arrived out of order, and rebuilds the summaries.
+only appends, which leaves the index stale. The next query of the column
+sorts it (stably, so equal timestamps keep ingest order) and rebuilds every
+summary if an append arrived out of order; otherwise the appended values
+sort after the indexed ones, and only the blocks they complete are summarized.
 
 Grouped queries bucket the series by time, with bucket origin anchored at
 the query start so history buckets line up with whatever window the caller
@@ -38,13 +50,17 @@ across threads, but independent handles to one series may.
 
 from __future__ import annotations
 
+import json
 import logging
+import os
+import sys
 import threading
+import zlib
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .model import (
     MAX_MILLIS,
@@ -69,6 +85,13 @@ SEGMENT_MAX_TUPLES = 100_000
 # at most 2 * BLOCK edge values, so about sqrt(n / 2) is the cheapest size
 # for the ~10^5-tuple histories the store is built for.
 BLOCK = 256
+
+CHECKPOINT = "columns.ckpt"
+CHECKPOINT_VERSION = 1
+# The _Series counters a checkpoint records beside the column arrays.
+CHECKPOINT_COUNTERS = ("count", "min_ts", "max_ts", "disordered", "bad_lines", "log_duplicates")
+# Bytes read at a time when checksumming a segment.
+CRC_CHUNK = 1 << 20
 
 
 class StoreError(RuntimeError):
@@ -154,7 +177,7 @@ class _Column:
         self.values = array("d")
         self.other_ts = array("q")
         self.indexed = 0
-        self.sums = self.mins = self.maxs = array("d")
+        self.sums, self.mins, self.maxs = array("d"), array("d"), array("d")
 
     def refresh(self, series: "_Series") -> None:
         """Bring the block index up to date with every tuple the series holds."""
@@ -166,11 +189,15 @@ class _Column:
             self.ts = array("q", [self.ts[i] for i in order])
             self.values = array("d", [self.values[i] for i in order])
             self.other_ts = array("q", sorted(self.other_ts))
+            self.sums, self.mins, self.maxs = array("d"), array("d"), array("d")
+        # Values appended in order sort after every summarized block, so only
+        # the full blocks past the summarized ones are new.
         v = self.values
-        blocks = [v[i : i + BLOCK] for i in range(0, len(v) - len(v) % BLOCK, BLOCK)]
-        self.sums = array("d", map(sum, blocks))
-        self.mins = array("d", map(min, blocks))
-        self.maxs = array("d", map(max, blocks))
+        first = len(self.sums) * BLOCK
+        blocks = [v[i : i + BLOCK] for i in range(first, len(v) - len(v) % BLOCK, BLOCK)]
+        self.sums.extend(map(sum, blocks))
+        self.mins.extend(map(min, blocks))
+        self.maxs.extend(map(max, blocks))
         self.indexed = series.count
 
     def reduce(self, function: AggregationFunction, lo: int, hi: int) -> float:
@@ -194,12 +221,21 @@ class _Column:
         return fold(fold(p) for p in parts if p)
 
 
+def _key(t: StreamTuple) -> tuple:
+    """The exact deduplication key: equal for 1 and 1.0 and any attribute order."""
+    return (t.timestamp, t.source_id, tuple(sorted(t.attributes.items())))
+
+
 class _Series:
     """In-memory state for one registered series: one column per attribute.
 
     ``disordered`` is the ``count`` just after the latest tuple that arrived
     with a timestamp below ``max_ts``; a column indexed before that must be
-    re-sorted.
+    re-sorted. ``seen`` is None after a checkpoint open, until the first
+    ingest builds it from the log. ``log_duplicates`` counts the log lines
+    that repeat an earlier line's key. ``checkpoint`` is None until an ingest,
+    True once one completed, and False for good once one stopped part-way,
+    which may leave tuples in memory that the log lacks.
     """
 
     def __init__(self, directory: Path | None):
@@ -209,18 +245,20 @@ class _Series:
         self.min_ts = MAX_MILLIS
         self.max_ts = -1
         self.disordered = 0
-        self.seen: set[tuple] = set()
+        self.seen: set[tuple] | None = set()
         self.duplicates_ignored = 0
+        self.log_duplicates = 0
         self.non_numeric_skipped = 0
         self.bad_lines = 0
         self.segment_lines = 0
         self.segment_index = 0
         self.writer = None
+        self.checkpoint: bool | None = None
 
     def add(self, t: StreamTuple) -> bool:
         """Append a tuple to its columns; False when it duplicates an earlier one."""
         ts = t.timestamp
-        key = (ts, t.source_id, tuple(sorted(t.attributes.items())))
+        key = _key(t)
         if key in self.seen:
             self.duplicates_ignored += 1
             return False
@@ -248,6 +286,100 @@ class _Series:
         if self.writer is not None:
             self.writer.close()
             self.writer = None
+
+    def write_checkpoint(self) -> None:
+        """Write the columns and counters, and the segments they cover, to CHECKPOINT."""
+        assert self.directory is not None
+        header = {
+            "version": CHECKPOINT_VERSION,
+            "byteorder": sys.byteorder,
+            **{k: getattr(self, k) for k in CHECKPOINT_COUNTERS},
+            "columns": [[name, len(c.ts), len(c.other_ts)] for name, c in self.columns.items()],
+            "segments": [[p.name, p.stat().st_size, _crc(p)] for p in _segments(self.directory)],
+        }
+        head = json.dumps(header).encode() + b"\n"
+        crc = zlib.crc32(head)
+        tmp = self.directory / (CHECKPOINT + ".tmp")
+        with open(tmp, "wb") as f:
+            f.write(head)
+            for column in self.columns.values():
+                for a in (column.ts, column.values, column.other_ts):
+                    a.tofile(f)
+                    crc = zlib.crc32(a, crc)
+            f.write(crc.to_bytes(4, "little"))
+        os.replace(tmp, self.directory / CHECKPOINT)
+
+    def load_checkpoint(self, segments: list[Path]) -> bool:
+        """Load columns and counters from CHECKPOINT if it covers exactly ``segments``.
+
+        Leaves the series untouched and returns False when the checkpoint is
+        missing, torn, stale or corrupt.
+        """
+        assert self.directory is not None
+        path = self.directory / CHECKPOINT
+        try:
+            with open(path, "rb") as f:
+                head = f.readline()
+                header = json.loads(head)
+                if header["version"] != CHECKPOINT_VERSION or header["byteorder"] != sys.byteorder:
+                    raise ValueError("another format version or byte order")
+                counters = [header[k] for k in CHECKPOINT_COUNTERS]
+                # Every "q" and "d" item is 8 bytes, and the crc32 is 4.
+                items = sum(2 * n + n_other for _, n, n_other in header["columns"])
+                size = len(head) + 8 * items + 4
+                if os.fstat(f.fileno()).st_size != size:
+                    raise ValueError("payload length does not match the header")
+                listed = header["segments"]
+                if [(p.name, p.stat().st_size) for p in segments] != [(n, b) for n, b, _ in listed]:
+                    raise ValueError("segment names or sizes differ")
+                if any(_crc(p) != crc for p, (_, _, crc) in zip(segments, listed)):
+                    raise ValueError("segment crc32 differs")
+                crc = zlib.crc32(head)
+                columns = {}
+                for name, n, n_other in header["columns"]:
+                    column = columns[name] = _Column()
+                    arrays = ((column.ts, n), (column.values, n), (column.other_ts, n_other))
+                    for a, length in arrays:
+                        a.fromfile(f, length)
+                        crc = zlib.crc32(a, crc)
+                if f.read() != crc.to_bytes(4, "little"):
+                    raise ValueError("payload crc32 differs")
+        except (OSError, EOFError, ValueError, LookupError, TypeError) as exc:
+            logger.debug("ignoring checkpoint %s: %s", path, exc)
+            return False
+        self.columns = columns
+        for k, value in zip(CHECKPOINT_COUNTERS, counters):
+            setattr(self, k, value)
+        self.duplicates_ignored = self.log_duplicates
+        self.seen = None
+        return True
+
+
+def _segments(directory: Path) -> list[Path]:
+    return sorted(directory.glob("*.ndjson"))
+
+
+def _decode(segments: list[Path]) -> Iterator[tuple[Path, StreamTuple | TupleDecodeError]]:
+    """Every non-blank segment line, decoded, or the error it failed to decode with."""
+    for path in segments:
+        with open(path, encoding="utf-8") as f:
+            for line in f:
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    t = decode_tuple(line)
+                except TupleDecodeError as exc:
+                    t = exc
+                yield path, t
+
+
+def _crc(path: Path) -> int:
+    crc = 0
+    with open(path, "rb") as f:
+        while chunk := f.read(CRC_CHUNK):
+            crc = zlib.crc32(chunk, crc)
+    return crc
 
 
 class HistoricStore:
@@ -277,28 +409,29 @@ class HistoricStore:
                     self._load_segments(series, series_dir)
 
     def _load_segments(self, series: _Series, directory: Path) -> None:
-        segments = sorted(directory.glob("*.ndjson"))
-        for path in segments:
-            with open(path, encoding="utf-8") as f:
-                for line in f:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        series.add(decode_tuple(line))
-                    except TupleDecodeError as exc:
-                        series.bad_lines += 1
-                        logger.warning("skipping bad line in %s: %s", path, exc)
+        segments = _segments(directory)
+        if not series.load_checkpoint(segments):
+            for path, t in _decode(segments):
+                if isinstance(t, TupleDecodeError):
+                    series.bad_lines += 1
+                    logger.warning("skipping bad line in %s: %s", path, t)
+                else:
+                    series.add(t)
+            series.log_duplicates = series.duplicates_ignored
         if segments:
-            last = segments[-1]
-            series.segment_index = int(last.stem) + 1
+            series.segment_index = int(segments[-1].stem) + 1
         logger.debug("loaded %d tuples from %s", series.count, directory)
 
     def close(self) -> None:
+        """Close the segment writers, then checkpoint every series ingested into."""
         with self._lock:
             for series in self._series.values():
                 series.close_writer()
             self._closed = True
+            for series in self._series.values():
+                if series.checkpoint and series.directory is not None:
+                    series.write_checkpoint()
+                    series.checkpoint = None
 
     def _check_open(self) -> None:
         if self._closed:
@@ -368,6 +501,13 @@ class HistoricStore:
         with self._lock:
             self._check_open()
             series = self._get(ref)
+            if series.seen is None:
+                logs = _decode(_segments(series.directory))
+                series.seen = {_key(t) for _, t in logs if not isinstance(t, TupleDecodeError)}
+            # Only an ingest that completes may be checkpointed, and none after
+            # one that did not.
+            completes = series.checkpoint is not False
+            series.checkpoint = False
             added = 0
             for t in tuples:
                 if not series.add(t):
@@ -377,6 +517,7 @@ class HistoricStore:
                     self._write_locked(series, t)
             if series.writer is not None:
                 series.writer.flush()
+            series.checkpoint = completes
             return added
 
     def _write_locked(self, series: _Series, t: StreamTuple) -> None:

@@ -1,17 +1,25 @@
+import builtins
 import random
+import shutil
+import tempfile
+from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from conflux import store as store_module
-from conflux.model import StreamTuple, TimeUnit
+from conflux.model import StreamTuple, TimeUnit, is_numeric_value
 from conflux.query import AggregationFunction
 from conflux.store import (
+    CHECKPOINT,
     AttributeTypeError,
     ClosedConnectionError,
     HistoricQuery,
     HistoricStore,
+    SeriesDiagnostics,
     SeriesRef,
     StoreError,
     UnknownSeriesError,
@@ -352,3 +360,293 @@ def test_block_index_matches_scan_oracle(seed, tmp_path, monkeypatch):
     reopened = HistoricStore(root)
     assert _check_against_oracle(reopened, first + second, queries) == rows
     reopened.close()
+
+
+def test_in_order_ingest_summarizes_only_new_blocks(monkeypatch):
+    monkeypatch.setattr(store_module, "BLOCK", 4)
+    summarized = []
+
+    def counting_min(*args):
+        # refresh takes min of each block it summarizes, and MEAN and MAX
+        # queries take no other min of an array.
+        if len(args) == 1 and isinstance(args[0], array):
+            summarized.append(args[0])
+        return builtins.min(*args)
+
+    monkeypatch.setattr(store_module, "min", counting_min, raising=False)
+    rng = random.Random(3)
+    s = HistoricStore(None)
+    s.register_series(REF)
+    tuples = []
+    top = 0
+    for i in range(120):
+        out_of_order = i % 40 == 39
+        if out_of_order:
+            ts = rng.randrange(0, top)
+        else:
+            ts = top = top + rng.choice([0, 500, 1_000])
+        t = StreamTuple(ts, {"v": rng.choice([rng.uniform(-1e3, 1e3), "n/a"])}, str(i))
+        tuples.append(t)
+        s.ingest(REF, [t])
+        summarized.clear()
+        fn = rng.choice([AggregationFunction.MEAN, AggregationFunction.MAX])
+        _check_against_oracle(s, tuples, [(fn, 0, top + 1_000, rng.randint(1, 30))])
+        if not out_of_order:
+            assert len(summarized) <= 1
+    s.close()
+
+
+def test_checkpoint_open_decodes_nothing(tmp_path, monkeypatch):
+    root = tmp_path / "root"
+    s = HistoricStore(root)
+    s.register_series(REF)
+    tuples = _mixed_tuples(random.Random(5), 300, 200_000, "a")
+    s.ingest(REF, tuples)
+    queries = [(fn, 0, 200_000, 7) for fn in AggregationFunction] + [
+        (AggregationFunction.MEAN, 13_500, 150_000, 60)
+    ]
+    before = _check_against_oracle(s, tuples, queries)
+    shape = (s.time_range(REF), s.attributes(REF), s.diagnostics(REF))
+    s.close()
+    assert (root / REF.provider / REF.database / REF.series / CHECKPOINT).is_file()
+
+    def no_decode(line):
+        raise AssertionError(f"decoded a segment line: {line}")
+
+    monkeypatch.setattr(store_module, "decode_tuple", no_decode)
+    reopened = HistoricStore(root)
+    assert _check_against_oracle(reopened, tuples, queries) == before
+    assert (reopened.time_range(REF), reopened.attributes(REF), reopened.diagnostics(REF)) == shape
+    monkeypatch.undo()
+    # The first ingest builds the deduplication keys from the log.
+    assert reopened.ingest(REF, tuples) == 0
+    assert reopened.ingest(REF, [_t(1, 1.0, src="new")]) == 1
+    assert reopened.diagnostics(REF).duplicates_ignored == len(tuples)
+    reopened.close()
+
+
+@pytest.mark.parametrize("damage", ["none", "missing", "flipped", "truncated", "stale"])
+def test_reopen_identical_whatever_the_checkpoint(tmp_path, damage):
+    root = tmp_path / "root"
+    s = HistoricStore(root)
+    s.register_series(REF)
+    tuples = _mixed_tuples(random.Random(9), 200, 200_000, "a")
+    s.ingest(REF, tuples[:150])
+    s.close()
+    s = HistoricStore(root)
+    s.ingest(REF, tuples[150:])
+    s.close()
+    directory = root / REF.provider / REF.database / REF.series
+    checkpoint = directory / CHECKPOINT
+    data = checkpoint.read_bytes()
+    if damage == "missing":
+        checkpoint.unlink()
+    elif damage == "flipped":
+        checkpoint.write_bytes(data[:-100] + bytes([data[-100] ^ 1]) + data[-99:])
+    elif damage == "truncated":
+        checkpoint.write_bytes(data[: len(data) // 2])
+    torn = damage == "stale"
+    if torn:
+        # The first line torn in place after close: same size, other bytes.
+        segment = min(directory.glob("*.ndjson"))
+        segment.write_text(segment.read_text().replace("}\n", " \n", 1))
+    reopened = HistoricStore(root)
+    kept = tuples[torn:]
+    _check_against_oracle(reopened, kept, [(fn, 0, 200_000, 9) for fn in AggregationFunction])
+    d = reopened.diagnostics(REF)
+    assert (d.tuples, d.duplicates_ignored, d.bad_lines) == (len(kept), 0, int(torn))
+    assert reopened.ingest(REF, tuples) == int(torn)
+    reopened.close()
+
+
+def test_duplicate_log_line_counts_the_same_from_a_checkpoint(tmp_path, monkeypatch):
+    root = tmp_path / "root"
+    s = HistoricStore(root)
+    s.register_series(REF)
+    s.ingest(REF, [_t(0, 1.0), _t(1_000, 2.0)])
+    s.close()
+    (segment,) = (root / REF.provider / REF.database / REF.series).glob("*.ndjson")
+    with open(segment, "a", encoding="utf-8") as f:
+        f.write(segment.read_text().splitlines()[0] + "\n")
+    s = HistoricStore(root)
+    assert s.diagnostics(REF) == SeriesDiagnostics(2, 1, 0, 0)
+    s.ingest(REF, [_t(2_000, 3.0)])
+    s.close()
+    monkeypatch.setattr(store_module, "decode_tuple", None)
+    reopened = HistoricStore(root)
+    assert reopened.diagnostics(REF) == SeriesDiagnostics(3, 1, 0, 0)
+    reopened.close()
+
+
+def test_ingest_that_stops_part_way_writes_no_checkpoint(tmp_path, monkeypatch):
+    root = tmp_path / "root"
+    s = HistoricStore(root)
+    s.register_series(REF)
+    s.ingest(REF, [_t(0, 1.0)])
+
+    def full_disk(t):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(store_module, "encode_tuple", full_disk)
+    with pytest.raises(OSError):
+        s.ingest(REF, [_t(1_000, 2.0)])
+    monkeypatch.undo()
+    # The failed tuple is in memory but not in the log, so no checkpoint may
+    # be written this session, even after a later ingest completes.
+    s.ingest(REF, [_t(2_000, 3.0)])
+    assert s.diagnostics(REF).tuples == 3
+    s.close()
+    assert not (root / REF.provider / REF.database / REF.series / CHECKPOINT).exists()
+    reopened = HistoricStore(root)
+    assert reopened.diagnostics(REF).tuples == 2
+    reopened.close()
+
+
+# -- stateful model of a store root --------------------------------------------
+
+GRID = 1_000
+_VALUES = st.sampled_from([1, 1.0, 2, 2.5, -3, -3.0, "n/a", 10**400]) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def _tuples(draw):
+    items = [(name, draw(_VALUES)) for name in ("v", "w") if draw(st.booleans())]
+    if draw(st.booleans()):
+        items.reverse()
+    ts = draw(st.integers(0, 40)) * GRID
+    return StreamTuple(ts, dict(items or [("w", 1.0)]), draw(st.sampled_from(["", "a"])))
+
+
+def _float_twin(t: StreamTuple) -> StreamTuple:
+    """A duplicate of ``t`` under the store's key: 1.0 for 1, attributes reversed."""
+    attrs = {
+        k: float(v) if isinstance(v, int) and is_numeric_value(v) else v
+        for k, v in reversed(t.attributes.items())
+    }
+    return StreamTuple(t.timestamp, attrs, t.source_id)
+
+
+class StoreMachine(RuleBasedStateMachine):
+    """A rooted store ingested into, queried, and closed and reopened with its
+    last segment line torn or its checkpoint damaged in between, checked
+    against a naive model: the distinct tuples the log holds, in ingest
+    order, and the session's counters."""
+
+    def __init__(self):
+        super().__init__()
+        self.root = Path(tempfile.mkdtemp())
+        self.directory = self.root / REF.provider / REF.database / REF.series
+        self.store = HistoricStore(self.root)
+        self.store.register_series(REF)
+        self.tuples: list[StreamTuple] = []
+        self.bad_lines = self.duplicates = self.skipped = 0
+
+    def teardown(self):
+        self.store.close()
+        shutil.rmtree(self.root, ignore_errors=True)
+
+    @rule(batch=st.lists(_tuples(), max_size=8))
+    def ingest(self, batch):
+        new = 0
+        for t in batch:
+            if t in self.tuples:
+                self.duplicates += 1
+            else:
+                self.tuples.append(t)
+                new += 1
+        assert self.store.ingest(REF, batch) == new
+
+    @precondition(lambda self: self.tuples)
+    @rule(data=st.data())
+    def ingest_duplicates(self, data):
+        picks = data.draw(st.lists(st.sampled_from(self.tuples), min_size=1, max_size=4))
+        self.duplicates += len(picks)
+        assert self.store.ingest(REF, [_float_twin(t) for t in picks]) == 0
+
+    @rule(
+        fn=st.sampled_from(AggregationFunction),
+        start=st.integers(0, 44),
+        span=st.integers(0, 44),
+        width=st.integers(1, 20),
+    )
+    def query(self, fn, start, span, width):
+        self._query(fn, start, start + span, width)
+
+    def _query(self, fn, start_s, end_s, width_s):
+        start, end = start_s * GRID, end_s * GRID
+        q = _q(fn, start, end, width_s, unit=TimeUnit.SECONDS)
+        if self.tuples and not any(is_numeric_value(t.attributes.get("v")) for t in self.tuples):
+            with pytest.raises(AttributeTypeError):
+                self.store.query_to_historic(REF, q)
+            return
+        rows = self.store.query_to_historic(REF, q)
+        want = scan_group_rows(self.tuples, fn, "v", start, end, width_s * GRID)
+        assert [(r.bucket_start, r.count) for r in rows] == [(b, c) for b, c, _ in want]
+        for got, (_, _, result) in zip(rows, want):
+            if fn is AggregationFunction.MEAN:
+                assert close(got.result, result)
+            else:
+                assert got.result == result
+        if end > start:
+            self.skipped += sum(
+                1
+                for t in self.tuples
+                if start <= t.timestamp < end
+                and "v" in t.attributes
+                and not is_numeric_value(t.attributes["v"])
+            )
+
+    @rule(
+        damage=st.sampled_from(
+            [
+                "none",
+                "truncate line",
+                "tear line",
+                "flip checkpoint",
+                "cut checkpoint",
+                "delete checkpoint",
+            ]
+        ),
+        at=st.floats(0, 1),
+    )
+    def reopen(self, damage, at):
+        self.store.close()
+        segments = sorted(self.directory.glob("*.ndjson"))
+        checkpoint = self.directory / CHECKPOINT
+        if damage in ("truncate line", "tear line") and segments:
+            data = segments[-1].read_bytes()
+            if data.endswith(b"}\n"):
+                # The last intact line of the last segment is the latest
+                # tuple the log accepted. Tearing it in place keeps the size.
+                torn = data[:-2] if damage == "truncate line" else data[:-2] + b" \n"
+                segments[-1].write_bytes(torn)
+                self.tuples.pop()
+                self.bad_lines += 1
+        elif damage.endswith("checkpoint") and checkpoint.exists():
+            data = checkpoint.read_bytes()
+            i = int(at * (len(data) - 1))
+            if damage == "flip checkpoint":
+                checkpoint.write_bytes(data[:i] + bytes([data[i] ^ 0xFF]) + data[i + 1 :])
+            elif damage == "cut checkpoint":
+                checkpoint.write_bytes(data[:i])
+            else:
+                checkpoint.unlink()
+        self.store = HistoricStore(self.root)
+        self.duplicates = self.skipped = 0
+        times = [t.timestamp for t in self.tuples]
+        assert self.store.time_range(REF) == ((min(times), max(times)) if times else None)
+        assert self.store.attributes(REF) == {
+            k for t in self.tuples for k, v in t.attributes.items() if is_numeric_value(v)
+        }
+        for fn in AggregationFunction:
+            self._query(fn, 0, 45, 7)
+
+    @invariant()
+    def diagnostics_match(self):
+        assert self.store.diagnostics(REF) == SeriesDiagnostics(
+            len(self.tuples), self.duplicates, self.skipped, self.bad_lines
+        )
+
+
+StoreMachine.TestCase.settings = settings(max_examples=60, stateful_step_count=20, deadline=None)
+test_store_machine = StoreMachine.TestCase
