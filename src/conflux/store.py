@@ -7,8 +7,9 @@ registered before ingest or query.
 
 Storage is one directory per series holding append-only NDJSON segments,
 the durable format and the source of truth. A line that does not decode (a
-torn write) is skipped and counted in ``bad_lines``. A store opened with
-``root=None`` keeps everything in memory, which is convenient for tests.
+torn write, or a byte that is not UTF-8) is skipped and counted in
+``bad_lines``. A store opened with ``root=None`` keeps everything in memory,
+which is convenient for tests.
 
 Opening a series reads its columns from a checkpoint when one covers the log
 exactly (after the LSM pattern of an immutable checkpoint beside a log,
@@ -19,14 +20,21 @@ crc32 of every segment), the raw column arrays, and a crc32 of all that.
 Open uses it only if the crc32 matches and the segments present are exactly
 the listed ones, with the same sizes and crc32s; otherwise it is ignored and
 every segment line is decoded, as with no checkpoint. A checkpoint open builds
-no deduplication keys: the first ingest into the series builds them from the
-log, so a store that is only queried never holds them.
+no deduplication index: the first ingest into the series builds it from the
+log, so a store that is only queried never holds it.
+
+Deduplication is exact on (timestamp, source, attributes). The index holds one
+entry per stored tuple: the key's in-process ``hash`` mapped to where the
+tuple's line starts in the log (the key itself for ``root=None``). Every hash
+hit is confirmed by reading that line back and comparing keys, so two tuples
+whose hashes merely collide are both kept, and a duplicate costs about as
+much as a new tuple. The hashes are never persisted.
 
 In memory a series is columnar (after Gorilla, Pelkonen et al., VLDB 2015):
 per attribute, a time-sorted ``array('q')`` of timestamps with an
 ``array('d')`` of the numeric values, plus an ``array('q')`` of the
 timestamps where the attribute is present but not numeric. No per-tuple
-objects are kept apart from the exact deduplication key. Each column has a
+objects are kept apart from the deduplication index entry. Each column has a
 block index: (sum, min, max) of every full block of BLOCK values. Ingest
 only appends, which leaves the index stale. The next query of the column
 sorts it (stably, so equal timestamps keep ingest order) and rebuilds every
@@ -92,6 +100,10 @@ CHECKPOINT_VERSION = 1
 CHECKPOINT_COUNTERS = ("count", "min_ts", "max_ts", "disordered", "bad_lines", "log_duplicates")
 # Bytes read at a time when checksumming a segment.
 CRC_CHUNK = 1 << 20
+# A rooted series' locator packs a segment's position in ``_Series.paths``
+# above the byte offset of a line in that segment.
+OFFSET_BITS = 48
+OFFSET_MASK = (1 << OFFSET_BITS) - 1
 
 
 class StoreError(RuntimeError):
@@ -231,7 +243,10 @@ class _Series:
 
     ``disordered`` is the ``count`` just after the latest tuple that arrived
     with a timestamp below ``max_ts``; a column indexed before that must be
-    re-sorted. ``seen`` is None after a checkpoint open, until the first
+    re-sorted. ``index`` maps the hash of each stored tuple's key to its
+    locator (a list of them when distinct keys share a hash): the key itself
+    for ``root=None``, else a segment position in ``paths`` and a byte offset
+    packed into one int. It is None after a checkpoint open, until the first
     ingest builds it from the log. ``log_duplicates`` counts the log lines
     that repeat an earlier line's key. ``checkpoint`` is None until an ingest,
     True once one completed, and False for good once one stopped part-way,
@@ -245,24 +260,72 @@ class _Series:
         self.min_ts = MAX_MILLIS
         self.max_ts = -1
         self.disordered = 0
-        self.seen: set[tuple] | None = set()
+        self.index: dict[int, object] | None = {}
         self.duplicates_ignored = 0
         self.log_duplicates = 0
         self.non_numeric_skipped = 0
         self.bad_lines = 0
+        self.paths: list[Path] = []
         self.segment_lines = 0
+        self.segment_bytes = 0
         self.segment_index = 0
         self.writer = None
+        self.reader = None
+        self.reader_pos = -1
         self.checkpoint: bool | None = None
 
-    def add(self, t: StreamTuple) -> bool:
-        """Append a tuple to its columns; False when it duplicates an earlier one."""
-        ts = t.timestamp
+    def remember(self, t: StreamTuple, loc: int | None) -> bool:
+        """Index ``t`` at ``loc`` (None for ``root=None``, which keeps the key
+        instead); False, indexing nothing, when an equal key is indexed."""
         key = _key(t)
-        if key in self.seen:
+        h = hash(key)
+        index = self.index
+        old = index.get(h)
+        if loc is None:
+            loc = key
+        if old is None:
+            index[h] = loc
+            return True
+        if type(old) is not list:
+            if self.key_at(old) == key:
+                return False
+            index[h] = [old, loc]
+            return True
+        if any(self.key_at(one) == key for one in old):
+            return False
+        old.append(loc)
+        return True
+
+    def key_at(self, loc) -> tuple | None:
+        """The key of the tuple stored at ``loc``; None when its line does not decode."""
+        if self.directory is None:
+            return loc
+        if self.writer is not None:
+            self.writer.flush()
+        pos = loc >> OFFSET_BITS
+        if pos != self.reader_pos:
+            self.close_reader()
+            self.reader = open(self.paths[pos], "rb")
+            self.reader_pos = pos
+        self.reader.seek(loc & OFFSET_MASK)
+        try:
+            return _key(decode_tuple(self.reader.readline()))
+        except TupleDecodeError:
+            return None
+
+    def next_loc(self) -> int:
+        """The locator of the next line ``HistoricStore._write_locked`` writes."""
+        if self.writer is None or self.segment_lines >= SEGMENT_MAX_TUPLES:
+            return len(self.paths) << OFFSET_BITS
+        return (len(self.paths) - 1) << OFFSET_BITS | self.segment_bytes
+
+    def add(self, t: StreamTuple, loc: int | None) -> bool:
+        """Index a tuple and append it to its columns; False when it duplicates
+        an earlier one."""
+        if not self.remember(t, loc):
             self.duplicates_ignored += 1
             return False
-        self.seen.add(key)
+        ts = t.timestamp
         columns = self.columns
         for name, value in t.attributes.items():
             column = columns.get(name)
@@ -286,6 +349,12 @@ class _Series:
         if self.writer is not None:
             self.writer.close()
             self.writer = None
+
+    def close_reader(self) -> None:
+        if self.reader is not None:
+            self.reader.close()
+            self.reader = None
+            self.reader_pos = -1
 
     def write_checkpoint(self) -> None:
         """Write the columns and counters, and the segments they cover, to CHECKPOINT."""
@@ -351,7 +420,7 @@ class _Series:
         for k, value in zip(CHECKPOINT_COUNTERS, counters):
             setattr(self, k, value)
         self.duplicates_ignored = self.log_duplicates
-        self.seen = None
+        self.index = None
         return True
 
 
@@ -359,19 +428,24 @@ def _segments(directory: Path) -> list[Path]:
     return sorted(directory.glob("*.ndjson"))
 
 
-def _decode(segments: list[Path]) -> Iterator[tuple[Path, StreamTuple | TupleDecodeError]]:
-    """Every non-blank segment line, decoded, or the error it failed to decode with."""
-    for path in segments:
-        with open(path, encoding="utf-8") as f:
+def _decode(
+    segments: list[Path],
+) -> Iterator[tuple[Path, int, StreamTuple | TupleDecodeError]]:
+    """Every non-blank segment line's locator, and the line decoded or the
+    error it failed to decode with (a byte that is not UTF-8 included)."""
+    for pos, path in enumerate(segments):
+        offset = pos << OFFSET_BITS
+        with open(path, "rb") as f:
             for line in f:
-                line = line.strip()
-                if not line:
+                loc = offset
+                offset += len(line)
+                if line.isspace():
                     continue
                 try:
                     t = decode_tuple(line)
                 except TupleDecodeError as exc:
                     t = exc
-                yield path, t
+                yield path, loc, t
 
 
 def _crc(path: Path) -> int:
@@ -399,8 +473,8 @@ class HistoricStore:
         assert self.root is not None
         if not self.root.is_dir():
             return
-        for provider_dir in sorted(p for p in self.root.iterdir() if p.is_dir()):
-            if provider_dir.name not in KNOWN_PROVIDERS:
+        for provider_dir in (self.root / p for p in KNOWN_PROVIDERS):
+            if not provider_dir.is_dir():
                 continue
             for database_dir in sorted(p for p in provider_dir.iterdir() if p.is_dir()):
                 for series_dir in sorted(p for p in database_dir.iterdir() if p.is_dir()):
@@ -409,14 +483,14 @@ class HistoricStore:
                     self._load_segments(series, series_dir)
 
     def _load_segments(self, series: _Series, directory: Path) -> None:
-        segments = _segments(directory)
+        segments = series.paths = _segments(directory)
         if not series.load_checkpoint(segments):
-            for path, t in _decode(segments):
+            for path, loc, t in _decode(segments):
                 if isinstance(t, TupleDecodeError):
                     series.bad_lines += 1
                     logger.warning("skipping bad line in %s: %s", path, t)
                 else:
-                    series.add(t)
+                    series.add(t, loc)
             series.log_duplicates = series.duplicates_ignored
         if segments:
             series.segment_index = int(segments[-1].stem) + 1
@@ -427,6 +501,7 @@ class HistoricStore:
         with self._lock:
             for series in self._series.values():
                 series.close_writer()
+                series.close_reader()
             self._closed = True
             for series in self._series.values():
                 if series.checkpoint and series.directory is not None:
@@ -501,19 +576,24 @@ class HistoricStore:
         with self._lock:
             self._check_open()
             series = self._get(ref)
-            if series.seen is None:
-                logs = _decode(_segments(series.directory))
-                series.seen = {_key(t) for _, t in logs if not isinstance(t, TupleDecodeError)}
+            if series.index is None:
+                series.index = {}
+                for _, loc, t in _decode(series.paths):
+                    if not isinstance(t, TupleDecodeError):
+                        series.remember(t, loc)
             # Only an ingest that completes may be checkpointed, and none after
             # one that did not.
             completes = series.checkpoint is not False
             series.checkpoint = False
+            rooted = series.directory is not None
             added = 0
             for t in tuples:
-                if not series.add(t):
+                # Indexed and in the columns before its line is written, so a
+                # failed write leaves the tuple in memory, never in the log alone.
+                if not series.add(t, series.next_loc() if rooted else None):
                     continue
                 added += 1
-                if series.directory is not None:
+                if rooted:
                     self._write_locked(series, t)
             if series.writer is not None:
                 series.writer.flush()
@@ -526,11 +606,13 @@ class HistoricStore:
             assert series.directory is not None
             path = series.directory / f"{series.segment_index:06d}.ndjson"
             series.segment_index += 1
-            series.segment_lines = 0
-            series.writer = open(path, "a", encoding="utf-8")
-        series.writer.write(encode_tuple(t))
-        series.writer.write("\n")
+            series.paths.append(path)
+            series.writer = open(path, "ab")
+            series.segment_lines = series.segment_bytes = 0
+        line = (encode_tuple(t) + "\n").encode()
+        series.writer.write(line)
         series.segment_lines += 1
+        series.segment_bytes += len(line)
 
     # -- queries ----------------------------------------------------------
 

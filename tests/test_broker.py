@@ -1,6 +1,13 @@
+import shutil
+import tempfile
 import threading
+from collections import deque
+from pathlib import Path
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from conflux import broker as broker_module
 from conflux.broker import (
@@ -218,3 +225,128 @@ def test_stats_conservation_under_partial_consumption(broker):
     sub.receive_many(30, timeout=0.1)
     s = q.stats()
     assert s.published == s.delivered + s.in_memory + s.on_disk
+
+
+# -- stateful model of one queue ----------------------------------------------
+
+
+class QueueMachine(RuleBasedStateMachine):
+    """One spilling queue published to, consumed from and closed, checked
+    against a naive model: a deque of the undelivered tuples, the index of
+    the first one on disk, and the tuples spilled and read back since the
+    disk region last drained. Spill segments hold SEGMENT tuples, so bursts
+    of a few tuples roll over and discard them."""
+
+    SEGMENT = 2
+
+    def __init__(self):
+        super().__init__()
+        self.segment_max = broker_module.SEGMENT_MAX_TUPLES
+        broker_module.SEGMENT_MAX_TUPLES = self.SEGMENT
+        self.root = Path(tempfile.mkdtemp())
+        self.broker = Broker(self.root)
+        self.pending: deque[StreamTuple] = deque()
+        self.in_memory = self.spilled = self.read_back = self.published = self.seq = 0
+        self.closed = False
+
+    def teardown(self):
+        broker_module.SEGMENT_MAX_TUPLES = self.segment_max
+        self.broker.shutdown()
+        shutil.rmtree(self.root, ignore_errors=True)
+
+    @initialize(capacity=st.integers(1, 3))
+    def declare(self, capacity):
+        self.capacity = capacity
+        self.queue = self.broker.declare_queue(QueueConfig(name="q", memory_capacity=capacity))
+        self.sub = self.broker.subscribe(self.queue)
+
+    def _published(self, n: int) -> list[StreamTuple]:
+        batch = [_t(self.seq + i) for i in range(n)]
+        if self.closed:
+            return batch
+        self.seq += n
+        for t in batch:
+            self.pending.append(t)
+            if self.in_memory < len(self.pending) - 1 or self.in_memory >= self.capacity:
+                self.spilled += 1
+            else:
+                self.in_memory += 1
+        self.published += n
+        return batch
+
+    def _delivered(self, got: list[StreamTuple]) -> None:
+        for t in got:
+            assert t == self.pending.popleft()
+            if self.in_memory:
+                self.in_memory -= 1
+            else:
+                self.read_back += 1
+        if self.read_back == self.spilled:
+            # Every spilled tuple is read back, so the next spill starts afresh.
+            self.spilled = self.read_back = 0
+
+    @rule()
+    def publish(self):
+        (t,) = self._published(1)
+        if self.closed:
+            with pytest.raises(ClosedQueueError):
+                self.queue.publish(t)
+        else:
+            self.queue.publish(t)
+
+    @rule(n=st.integers(0, 7))
+    def publish_many(self, n):
+        batch = self._published(n)
+        if self.closed and batch:
+            with pytest.raises(ClosedQueueError):
+                self.queue.publish_many(batch)
+        else:
+            self.queue.publish_many(batch)
+
+    @rule()
+    def receive(self):
+        got = self.sub.receive(timeout=0)
+        if self.pending:
+            self._delivered([got])
+        else:
+            assert got is None
+
+    @rule(n=st.integers(1, 5))
+    def receive_many(self, n):
+        got = self.sub.receive_many(n, timeout=0)
+        assert len(got) == min(n, len(self.pending))
+        self._delivered(got)
+
+    @rule()
+    def drain(self):
+        got = self.sub.drain()
+        assert len(got) == len(self.pending)
+        self._delivered(got)
+
+    @rule()
+    def close(self):
+        self.queue.close()
+        self.closed = True
+
+    @invariant()
+    def counts_match(self):
+        stats = self.queue.stats()
+        on_disk = len(self.pending) - self.in_memory
+        assert (stats.in_memory, stats.on_disk) == (self.in_memory, on_disk)
+        assert stats.published == self.published
+        assert stats.published == stats.delivered + stats.in_memory + stats.on_disk
+
+    @invariant()
+    def consumed_segments_deleted(self):
+        files = sorted(self.root.glob("q/*.ndjson"))
+        if self.spilled == self.read_back:
+            assert files == []
+        else:
+            # The spilled tuples fill segments of SEGMENT in order; only those
+            # from the first unread one to the last written one remain.
+            first, last = self.read_back // self.SEGMENT, (self.spilled - 1) // self.SEGMENT
+            assert len(files) == last - first + 1
+
+
+QueueMachine.TestCase.settings = settings(max_examples=60, stateful_step_count=30, deadline=None)
+test_queue_machine = QueueMachine.TestCase

@@ -239,6 +239,50 @@ def test_deeply_nested_segment_line_is_counted(tmp_path):
     s2.close()
 
 
+@pytest.mark.parametrize("checkpoint", ["kept", "deleted"])
+def test_non_utf8_segment_byte_is_a_bad_line(tmp_path, checkpoint):
+    root = tmp_path / "root"
+    s = HistoricStore(root)
+    s.register_series(REF)
+    s.ingest(REF, [_t(0, 1.0), _t(1_000, 2.0)])
+    s.close()
+    directory = root / REF.provider / REF.database / REF.series
+    (segment,) = directory.glob("*.ndjson")
+    data = segment.read_bytes()
+    # A kept checkpoint no longer matches the segment's crc32, so it is ignored.
+    segment.write_bytes(data[:-3] + b"\xff" + data[-2:])
+    if checkpoint == "deleted":
+        (directory / CHECKPOINT).unlink()
+    s2 = HistoricStore(root)
+    d = s2.diagnostics(REF)
+    assert (d.tuples, d.bad_lines) == (1, 1)
+    assert s2.time_range(REF) == (0, 0)
+    assert s2.ingest(REF, [_t(0, 1.0), _t(1_000, 2.0)]) == 1
+    s2.close()
+
+
+def test_reopen_ignores_directories_of_unknown_providers(tmp_path):
+    root = tmp_path / "root"
+    s = HistoricStore(root)
+    refs = [
+        SeriesRef("influxdb", "d", "s"),
+        SeriesRef("cassandra", "d", "s"),
+        SeriesRef("cassandra", "a", "z"),
+    ]
+    for ref in refs:
+        s.register_series(ref)
+        s.ingest(ref, [_t(0, 1.0)])
+    s.close()
+    stray = root / "other" / "d" / "s"
+    stray.mkdir(parents=True)
+    (stray / "000000.ndjson").write_text('{"ts":0,"v":1.0}\n')
+    (root / "notes.txt").write_text("not a provider\n")
+    reopened = HistoricStore(root)
+    assert reopened.series_refs() == sorted(refs, key=lambda r: (r.provider, r.database, r.series))
+    assert all(reopened.diagnostics(ref).tuples == 1 for ref in refs)
+    reopened.close()
+
+
 def test_attributes_and_time_range(store):
     assert store.time_range(REF) is None
     store.ingest(REF, [StreamTuple(timestamp=5, attributes={"v": 1.0, "w": "x"}, source_id="")])
@@ -502,6 +546,64 @@ def test_ingest_that_stops_part_way_writes_no_checkpoint(tmp_path, monkeypatch):
     reopened.close()
 
 
+# -- hash collisions -----------------------------------------------------------
+
+
+class _CollidingKey:
+    """A deduplication key equal exactly when the real one is, whose hash
+    takes only three values, so distinct tuples collide all the time."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: tuple):
+        self.key = key
+
+    def __hash__(self) -> int:
+        return self.key[0] // 1_000 % 3
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _CollidingKey) and self.key == other.key
+
+
+def _colliding_key(t: StreamTuple, real=store_module._key) -> _CollidingKey:
+    return _CollidingKey(real(t))
+
+
+@pytest.mark.parametrize("rooted", [False, True])
+def test_colliding_hashes_keep_dedupe_exact(tmp_path, monkeypatch, rooted):
+    monkeypatch.setattr(store_module, "_key", _colliding_key)
+    root = tmp_path / "root" if rooted else None
+    tuples = [
+        StreamTuple(k * 1_000, {"v": k % 5, "w": 1.0}, src) for k in range(40) for src in "ab"
+    ]
+    twins = [_float_twin(t) for t in tuples]
+    queries = [(fn, 0, 40_000, 7) for fn in AggregationFunction]
+    s = HistoricStore(root)
+    s.register_series(REF)
+    assert s.ingest(REF, tuples[::2]) == 40
+    assert s.ingest(REF, tuples) == 40
+    assert s.ingest(REF, twins) == 0
+    assert s.diagnostics(REF) == SeriesDiagnostics(80, 40 + 80, 0, 0)
+    _check_against_oracle(s, tuples, queries)
+    s.close()
+    if not rooted:
+        return
+    directory = root / REF.provider / REF.database / REF.series
+    for source in ("checkpoint", "log"):
+        if source == "log":
+            (directory / CHECKPOINT).unlink()
+        s = HistoricStore(root)
+        assert s.diagnostics(REF) == SeriesDiagnostics(len(tuples), 0, 0, 0)
+        assert s.ingest(REF, twins + tuples) == 0
+        new = [StreamTuple(k * 1_000, {"v": 9}, source) for k in range(3)]
+        assert s.ingest(REF, new) == 3
+        assert s.diagnostics(REF) == SeriesDiagnostics(len(tuples) + 3, 2 * len(tuples), 0, 0)
+        tuples += new
+        twins += [_float_twin(t) for t in new]
+        _check_against_oracle(s, tuples, queries)
+        s.close()
+
+
 # -- stateful model of a store root --------------------------------------------
 
 GRID = 1_000
@@ -626,7 +728,9 @@ class StoreMachine(RuleBasedStateMachine):
             data = checkpoint.read_bytes()
             i = int(at * (len(data) - 1))
             if damage == "flip checkpoint":
-                checkpoint.write_bytes(data[:i] + bytes([data[i] ^ 0xFF]) + data[i + 1 :])
+                # A checkpoint already cut to nothing has no byte to flip.
+                flipped = bytes([data[i] ^ 0xFF]) if data else b""
+                checkpoint.write_bytes(data[:i] + flipped + data[i + 1 :])
             elif damage == "cut checkpoint":
                 checkpoint.write_bytes(data[:i])
             else:
@@ -650,3 +754,24 @@ class StoreMachine(RuleBasedStateMachine):
 
 StoreMachine.TestCase.settings = settings(max_examples=60, stateful_step_count=20, deadline=None)
 test_store_machine = StoreMachine.TestCase
+
+
+class CollidingStoreMachine(StoreMachine):
+    """StoreMachine with every deduplication hash colliding three ways."""
+
+    def __init__(self):
+        self.real_key = store_module._key
+        store_module._key = _colliding_key
+        super().__init__()
+
+    def teardown(self):
+        try:
+            super().teardown()
+        finally:
+            store_module._key = self.real_key
+
+
+CollidingStoreMachine.TestCase.settings = settings(
+    max_examples=20, stateful_step_count=20, deadline=None
+)
+test_store_machine_with_colliding_hashes = CollidingStoreMachine.TestCase
