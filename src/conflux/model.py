@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Union
 
 # Epoch-millisecond timestamps are kept within signed 64-bit range so they
@@ -28,6 +29,10 @@ Value = Union[int, float, str]
 
 # Reserved keys of the NDJSON wire encoding; every other key is an attribute.
 RESERVED_KEYS = frozenset({"ts", "src"})
+
+# What the C JSON encoder calls for an int or a float, subclasses included.
+_int_repr = int.__repr__
+_float_repr = float.__repr__
 
 
 class TimeUnit(enum.Enum):
@@ -168,12 +173,25 @@ def encode_tuple(t: StreamTuple) -> str:
 
     The reserved keys ``ts`` and ``src`` come first, then the attributes in
     order, so encoding is deterministic and round-trips byte-identically.
+    The line is built from the ``encode_basestring_ascii`` and
+    ``int``/``float`` ``__repr__`` that the C JSON encoder calls, without
+    building an encoder per call, so it equals ``json.dumps({"ts": ...,
+    "src": ..., **attributes}, separators=(",", ":"), allow_nan=False)`` byte
+    for byte; ``test_model`` pins this against the ``json.dumps`` oracle.
+    StreamTuple admits only ints, finite floats and strs, so no other value
+    reaches it.
     """
-    return json.dumps(
-        {"ts": t.timestamp, "src": t.source_id, **t.attributes},
-        separators=(",", ":"),
-        allow_nan=False,
-    )
+    parts = ['{"ts":', _int_repr(t.timestamp), ',"src":', _quote(t.source_id)]
+    for name, v in t.attributes.items():
+        if isinstance(v, float):
+            v = _float_repr(v)
+        elif isinstance(v, str):
+            v = _quote(v)
+        else:
+            v = _int_repr(v)
+        parts += (",", _quote(name), ":", v)
+    parts.append("}")
+    return "".join(parts)
 
 
 def decode_tuple(line: str) -> StreamTuple:

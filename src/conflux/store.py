@@ -27,8 +27,9 @@ Deduplication is exact on (timestamp, source, attributes). The index holds one
 entry per stored tuple: the key's in-process ``hash`` mapped to where the
 tuple's line starts in the log (the key itself for ``root=None``). Every hash
 hit is confirmed by reading that line back and comparing keys, so two tuples
-whose hashes merely collide are both kept, and a duplicate costs about as
-much as a new tuple. The hashes are never persisted.
+whose hashes merely collide are both kept. A duplicate therefore costs more
+than a new tuple: it decodes its stored line, where a new tuple only encodes
+one. The hashes are never persisted.
 
 In memory a series is columnar (after Gorilla, Pelkonen et al., VLDB 2015):
 per attribute, a time-sorted ``array('q')`` of timestamps with an
@@ -313,12 +314,6 @@ class _Series:
         except TupleDecodeError:
             return None
 
-    def next_loc(self) -> int:
-        """The locator of the next line ``HistoricStore._write_locked`` writes."""
-        if self.writer is None or self.segment_lines >= SEGMENT_MAX_TUPLES:
-            return len(self.paths) << OFFSET_BITS
-        return (len(self.paths) - 1) << OFFSET_BITS | self.segment_bytes
-
     def add(self, t: StreamTuple, loc: int | None) -> bool:
         """Index a tuple and append it to its columns; False when it duplicates
         an earlier one."""
@@ -331,7 +326,8 @@ class _Series:
             column = columns.get(name)
             if column is None:
                 column = columns[name] = _Column()
-            if is_numeric_value(value):
+            # StreamTuple admits only finite floats.
+            if type(value) is float or is_numeric_value(value):
                 column.values.append(value)
                 column.ts.append(ts)
             else:
@@ -585,34 +581,39 @@ class HistoricStore:
             # one that did not.
             completes = series.checkpoint is not False
             series.checkpoint = False
-            rooted = series.directory is not None
             added = 0
-            for t in tuples:
-                # Indexed and in the columns before its line is written, so a
-                # failed write leaves the tuple in memory, never in the log alone.
-                if not series.add(t, series.next_loc() if rooted else None):
-                    continue
-                added += 1
-                if rooted:
-                    self._write_locked(series, t)
+            if series.directory is None:
+                for t in tuples:
+                    added += series.add(t, None)
+            else:
+                for t in tuples:
+                    full = series.writer is None or series.segment_lines >= SEGMENT_MAX_TUPLES
+                    # The locator the line gets: at the end of the last segment,
+                    # or at the start of the one a rollover opens.
+                    if full:
+                        loc = len(series.paths) << OFFSET_BITS
+                    else:
+                        loc = (len(series.paths) - 1) << OFFSET_BITS | series.segment_bytes
+                    # Indexed and in the columns before its line is written, so a
+                    # failed write leaves the tuple in memory, never in the log alone.
+                    if not series.add(t, loc):
+                        continue
+                    added += 1
+                    if full:
+                        series.close_writer()
+                        path = series.directory / f"{series.segment_index:06d}.ndjson"
+                        series.segment_index += 1
+                        series.paths.append(path)
+                        series.writer = open(path, "ab")
+                        series.segment_lines = series.segment_bytes = 0
+                    line = (encode_tuple(t) + "\n").encode()
+                    series.writer.write(line)
+                    series.segment_lines += 1
+                    series.segment_bytes += len(line)
             if series.writer is not None:
                 series.writer.flush()
             series.checkpoint = completes
             return added
-
-    def _write_locked(self, series: _Series, t: StreamTuple) -> None:
-        if series.writer is None or series.segment_lines >= SEGMENT_MAX_TUPLES:
-            series.close_writer()
-            assert series.directory is not None
-            path = series.directory / f"{series.segment_index:06d}.ndjson"
-            series.segment_index += 1
-            series.paths.append(path)
-            series.writer = open(path, "ab")
-            series.segment_lines = series.segment_bytes = 0
-        line = (encode_tuple(t) + "\n").encode()
-        series.writer.write(line)
-        series.segment_lines += 1
-        series.segment_bytes += len(line)
 
     # -- queries ----------------------------------------------------------
 

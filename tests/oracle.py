@@ -6,6 +6,7 @@ package's own aggregation or bucketing code paths.
 
 from __future__ import annotations
 
+import json
 import math
 
 from conflux.model import StreamTuple, is_numeric_value
@@ -20,6 +21,15 @@ def close(a: float | None, b: float | None) -> bool:
     if a is None or b is None:
         return a is None and b is None
     return math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL)
+
+
+def encode_tuple(t: StreamTuple) -> str:
+    """The NDJSON line of a tuple, through ``json.dumps`` itself."""
+    return json.dumps(
+        {"ts": t.timestamp, "src": t.source_id, **t.attributes},
+        separators=(",", ":"),
+        allow_nan=False,
+    )
 
 
 def direct_aggregate(function: AggregationFunction, values: list[float]) -> float | None:

@@ -1,4 +1,5 @@
 import json
+import sys
 import tempfile
 
 import pytest
@@ -18,6 +19,7 @@ from conflux.model import (
     is_numeric_value,
     to_millis,
 )
+from oracle import encode_tuple as oracle_encode
 
 
 def test_time_unit_millis():
@@ -167,6 +169,51 @@ _tuples = st.builds(
 @given(_tuples)
 def test_tuple_codec_round_trip(t):
     assert decode_tuple(encode_tuple(t)) == t
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not an int"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not a float"
+
+
+class _Str(str):
+    pass
+
+
+# Every code point, lone surrogates included.
+_unicode = st.text(st.characters(blacklist_categories=()), max_size=8)
+_int_limit = 10 ** sys.get_int_max_str_digits() - 1
+_oracle_values = st.one_of(
+    st.integers(),
+    st.integers(min_value=-_int_limit, max_value=_int_limit),
+    st.sampled_from([_int_limit, -_int_limit, 0, -1, 2**63]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 0.1, sys.float_info.max, -sys.float_info.max]),
+    _unicode,
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\ud800", "\udfff\ud800", "\U0001f600", "\u2028"]),
+    st.builds(_Int, st.integers()),
+    st.builds(_Float, st.floats(allow_nan=False, allow_infinity=False)),
+    st.builds(_Str, _unicode),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    timestamp=st.integers(min_value=0, max_value=MAX_MILLIS),
+    attributes=st.dictionaries(
+        _unicode.filter(lambda k: k not in ("ts", "src")), _oracle_values, min_size=1, max_size=4
+    ),
+    source_id=_unicode,
+)
+def test_encode_equals_json_dumps(timestamp, attributes, source_id):
+    """The hand-built line is byte-identical to the json.dumps oracle."""
+    t = StreamTuple(timestamp, attributes, source_id)
+    assert encode_tuple(t) == oracle_encode(t)
 
 
 _any_values = st.one_of(

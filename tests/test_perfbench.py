@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from conflux.broker import Broker, QueueConfig
 from conflux.clock import VirtualClock
 from conflux.model import StreamTuple
 from conflux.query import Catalog, parse_query
+from conflux.store import HistoricStore, SeriesRef
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -94,3 +96,30 @@ def test_workload_driver_traces_a_fan_out_plan(perfbench, tmp_path):
     assert out.layer["fetch.tuples_in"] == len(ts)
     assert out.layer["fetch.tuples_out"] == 2 * out.layer["fetch.tuples_in"]
     assert t.totals["runtime.admit"][0] == 2 * len(ts)
+
+
+def test_tracer_counts_one_encode_per_written_line(perfbench, tmp_path):
+    # model.encode_us_per_tuple and store.ingest_us_per_tuple divide by these
+    # counts: one per stored line and one per spilled tuple, none per duplicate.
+    tracer, _ = perfbench
+    t = tracer.Tracer()
+    ref = SeriesRef("influxdb", "db", "s")
+    stored = [StreamTuple(k, {"v": float(k)}, "thing") for k in range(7)]
+    spilled = [StreamTuple(k, {"v": k}, "burst") for k in range(6)]
+    store = HistoricStore(tmp_path / "store")
+    broker = Broker(tmp_path / "spill")
+    t.install()
+    try:
+        store.register_series(ref)
+        assert store.ingest(ref, stored) == len(stored)
+        assert store.ingest(ref, stored) == 0
+        queue = broker.declare_queue(QueueConfig("q", memory_capacity=1))
+        sub = broker.subscribe(queue)
+        queue.publish_many(spilled)
+        assert sub.drain() == spilled
+        assert queue.stats().spilled == len(spilled) - 1
+    finally:
+        t.uninstall()
+        store.close()
+        broker.shutdown()
+    assert t.totals["model.encode"][0] == len(stored) + len(spilled) - 1

@@ -25,7 +25,7 @@ from conflux.store import (
     UnknownSeriesError,
 )
 
-from oracle import close, scan_group_rows
+from oracle import close, encode_tuple as oracle_encode, scan_group_rows
 
 REF = SeriesRef("influxdb", "testdb", "s1")
 
@@ -544,6 +544,64 @@ def test_ingest_that_stops_part_way_writes_no_checkpoint(tmp_path, monkeypatch):
     reopened = HistoricStore(root)
     assert reopened.diagnostics(REF).tuples == 2
     reopened.close()
+
+
+def _varied(ts: int) -> StreamTuple:
+    """Tuples whose lines differ in length, so every offset is distinct."""
+    attributes = {"v": ts / 7, "n": -ts * 10**ts, "s": "\u00e9\"" * ts, "\U0001f600": 0.1}
+    return StreamTuple(ts, attributes, f"src{ts}")
+
+
+def test_log_bytes_and_locators_across_a_rollover(tmp_path, monkeypatch):
+    # Each confirm read seeks to a locator the ingest loop computed, so a
+    # wrong offset or segment position fails dedupe and adds the tuple again.
+    monkeypatch.setattr(store_module, "SEGMENT_MAX_TUPLES", 3)
+    root = tmp_path / "root"
+    directory = root / REF.provider / REF.database / REF.series
+    tuples = [_varied(ts) for ts in range(10)]
+    s = HistoricStore(root)
+    s.register_series(REF)
+    assert s.ingest(REF, tuples) == 10
+    segments = sorted(directory.glob("*.ndjson"))
+    assert [p.name for p in segments] == [f"{k:06d}.ndjson" for k in range(4)]
+    log = b"".join(p.read_bytes() for p in segments)
+    assert log == "".join(oracle_encode(t) + "\n" for t in tuples).encode()
+    assert s.ingest(REF, tuples) == 0
+    s.close()
+    s = HistoricStore(root)
+    assert s.ingest(REF, tuples) == 0
+    more = [_varied(ts) for ts in range(10, 14)]
+    assert s.ingest(REF, more) == 4
+    assert s.ingest(REF, tuples + more) == 0
+    assert s.diagnostics(REF).tuples == 14
+    s.close()
+
+
+def test_duplicate_only_ingest_writes_nothing(tmp_path, monkeypatch):
+    root = tmp_path / "root"
+    directory = root / REF.provider / REF.database / REF.series
+    tuples = [_t(ts, float(ts)) for ts in range(0, 5_000, 1_000)]
+    s = HistoricStore(root)
+    s.register_series(REF)
+    s.ingest(REF, tuples)
+    s.close()
+    calls = []
+    real = store_module.encode_tuple
+
+    def counted(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(store_module, "encode_tuple", counted)
+    s = HistoricStore(root)
+    segments = sorted(directory.glob("*.ndjson"))
+    assert s.ingest(REF, tuples) == 0
+    assert sorted(directory.glob("*.ndjson")) == segments
+    assert calls == []
+    new = [_t(ts, 1.0) for ts in range(10_000, 13_000, 1_000)]
+    assert s.ingest(REF, tuples + new) == 3
+    assert calls == new
+    s.close()
 
 
 # -- hash collisions -----------------------------------------------------------
