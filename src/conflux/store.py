@@ -15,13 +15,18 @@ Opening a series reads its columns from a checkpoint when one covers the log
 exactly (after the LSM pattern of an immutable checkpoint beside a log,
 O'Neil et al., Acta Informatica 1996). ``close`` writes ``columns.ckpt`` into
 every series directory ingested into that session: a JSON header line (the
-series counters, each column's array lengths, and the name, byte size and
-crc32 of every segment), the raw column arrays, and a crc32 of all that.
-Open uses it only if the crc32 matches and the segments present are exactly
-the listed ones, with the same sizes and crc32s; otherwise it is ignored and
-every segment line is decoded, as with no checkpoint. A checkpoint open builds
-no deduplication index: the first ingest into the series builds it from the
-log, so a store that is only queried never holds it.
+format version, byte order and BLOCK, the series counters, each column's
+array lengths, and the name, byte size and crc32 of every segment), the raw
+column arrays with each column's block summaries, and a crc32 of all that.
+Open uses it only if the format matches, the crc32 matches and the segments
+present are exactly the listed ones, with the same sizes and crc32s;
+otherwise it is ignored and every segment line is decoded, as with no
+checkpoint. So a reopened store's first query reads no values outside its two
+edge blocks. A version-1 checkpoint (columns without summaries) is ignored
+too, and such a root is decoded from its log on every open until an ingest,
+even one that adds only duplicates, rewrites the checkpoint at close. A
+checkpoint open builds no deduplication index: the first ingest into the
+series builds it from the log, so a store that is only queried never holds it.
 
 Deduplication is exact on (timestamp, source, attributes). The index holds one
 entry per stored tuple: the key's in-process ``hash`` mapped to where the
@@ -29,7 +34,8 @@ tuple's line starts in the log (the key itself for ``root=None``). Every hash
 hit is confirmed by reading that line back and comparing keys, so two tuples
 whose hashes merely collide are both kept. A duplicate therefore costs more
 than a new tuple: it decodes its stored line, where a new tuple only encodes
-one. The hashes are never persisted.
+one. The hashes are never persisted. A tuple whose line fails to be written
+stays in memory, indexed by its key, and the next line starts a new segment.
 
 In memory a series is columnar (after Gorilla, Pelkonen et al., VLDB 2015):
 per attribute, a time-sorted ``array('q')`` of timestamps with an
@@ -37,10 +43,11 @@ per attribute, a time-sorted ``array('q')`` of timestamps with an
 timestamps where the attribute is present but not numeric. No per-tuple
 objects are kept apart from the deduplication index entry. Each column has a
 block index: (sum, min, max) of every full block of BLOCK values. Ingest
-only appends, which leaves the index stale. The next query of the column
-sorts it (stably, so equal timestamps keep ingest order) and rebuilds every
-summary if an append arrived out of order; otherwise the appended values
-sort after the indexed ones, and only the blocks they complete are summarized.
+only appends, which leaves the index stale. The next query of the column,
+or the ``close`` that checkpoints it, sorts it (stably, so equal timestamps
+keep ingest order) and rebuilds every summary if an append arrived out of
+order; otherwise the appended values sort after the indexed ones, and only
+the blocks they complete are summarized.
 
 Grouped queries bucket the series by time, with bucket origin anchored at
 the query start so history buckets line up with whatever window the caller
@@ -96,7 +103,7 @@ SEGMENT_MAX_TUPLES = 100_000
 BLOCK = 256
 
 CHECKPOINT = "columns.ckpt"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 # The _Series counters a checkpoint records beside the column arrays.
 CHECKPOINT_COUNTERS = ("count", "min_ts", "max_ts", "disordered", "bad_lines", "log_duplicates")
 # Bytes read at a time when checksumming a segment.
@@ -199,19 +206,24 @@ class _Column:
         if series.disordered > self.indexed:
             # Stable, so equal timestamps keep ingest order.
             order = sorted(range(len(self.ts)), key=self.ts.__getitem__)
-            self.ts = array("q", [self.ts[i] for i in order])
-            self.values = array("d", [self.values[i] for i in order])
+            self.ts = array("q", map(self.ts.__getitem__, order))
+            self.values = array("d", map(self.values.__getitem__, order))
             self.other_ts = array("q", sorted(self.other_ts))
             self.sums, self.mins, self.maxs = array("d"), array("d"), array("d")
         # Values appended in order sort after every summarized block, so only
-        # the full blocks past the summarized ones are new.
+        # the full blocks past the summarized ones are new. One block at a
+        # time, so no second copy of the new values is held.
         v = self.values
-        first = len(self.sums) * BLOCK
-        blocks = [v[i : i + BLOCK] for i in range(first, len(v) - len(v) % BLOCK, BLOCK)]
-        self.sums.extend(map(sum, blocks))
-        self.mins.extend(map(min, blocks))
-        self.maxs.extend(map(max, blocks))
+        for i in range(len(self.sums) * BLOCK, len(v) - len(v) % BLOCK, BLOCK):
+            block = v[i : i + BLOCK]
+            self.sums.append(sum(block))
+            self.mins.append(min(block))
+            self.maxs.append(max(block))
         self.indexed = series.count
+
+    def arrays(self) -> tuple[array, ...]:
+        """Every array of the column, in checkpoint order."""
+        return (self.ts, self.values, self.other_ts, self.sums, self.mins, self.maxs)
 
     def reduce(self, function: AggregationFunction, lo: int, hi: int) -> float:
         """Sum (for mean) or extremum of values[lo:hi], which must be non-empty.
@@ -298,8 +310,12 @@ class _Series:
         return True
 
     def key_at(self, loc) -> tuple | None:
-        """The key of the tuple stored at ``loc``; None when its line does not decode."""
-        if self.directory is None:
+        """The key of the tuple stored at ``loc``; None when its line does not decode.
+
+        A locator that is not an int is the key itself: every one for
+        ``root=None``, and one whose line failed to be written.
+        """
+        if type(loc) is not int:
             return loc
         if self.writer is not None:
             self.writer.flush()
@@ -341,6 +357,19 @@ class _Series:
             self.min_ts = ts
         return True
 
+    def unwritten(self, t: StreamTuple, loc: int) -> None:
+        """Repoint ``t``'s index entry from ``loc`` to its key, because its
+        line was not written and the next line will take ``loc``."""
+        key = _key(t)
+        h = hash(key)
+        old = self.index[h]
+        if type(old) is list:
+            old[old.index(loc)] = key
+        else:
+            self.index[h] = key
+        # The next line opens a new segment, after any partial line.
+        self.segment_lines = SEGMENT_MAX_TUPLES
+
     def close_writer(self) -> None:
         if self.writer is not None:
             self.writer.close()
@@ -353,11 +382,15 @@ class _Series:
             self.reader_pos = -1
 
     def write_checkpoint(self) -> None:
-        """Write the columns and counters, and the segments they cover, to CHECKPOINT."""
+        """Write the columns, their block summaries and the counters, and the
+        segments they cover, to CHECKPOINT."""
         assert self.directory is not None
+        for column in self.columns.values():
+            column.refresh(self)
         header = {
             "version": CHECKPOINT_VERSION,
             "byteorder": sys.byteorder,
+            "block": BLOCK,
             **{k: getattr(self, k) for k in CHECKPOINT_COUNTERS},
             "columns": [[name, len(c.ts), len(c.other_ts)] for name, c in self.columns.items()],
             "segments": [[p.name, p.stat().st_size, _crc(p)] for p in _segments(self.directory)],
@@ -368,14 +401,15 @@ class _Series:
         with open(tmp, "wb") as f:
             f.write(head)
             for column in self.columns.values():
-                for a in (column.ts, column.values, column.other_ts):
+                for a in column.arrays():
                     a.tofile(f)
                     crc = zlib.crc32(a, crc)
             f.write(crc.to_bytes(4, "little"))
         os.replace(tmp, self.directory / CHECKPOINT)
 
     def load_checkpoint(self, segments: list[Path]) -> bool:
-        """Load columns and counters from CHECKPOINT if it covers exactly ``segments``.
+        """Load columns, summaries and counters from CHECKPOINT if it covers
+        exactly ``segments``.
 
         Leaves the series untouched and returns False when the checkpoint is
         missing, torn, stale or corrupt.
@@ -386,11 +420,13 @@ class _Series:
             with open(path, "rb") as f:
                 head = f.readline()
                 header = json.loads(head)
-                if header["version"] != CHECKPOINT_VERSION or header["byteorder"] != sys.byteorder:
-                    raise ValueError("another format version or byte order")
+                written = (header["version"], header["byteorder"], header["block"])
+                if written != (CHECKPOINT_VERSION, sys.byteorder, BLOCK):
+                    raise ValueError("another format version, byte order or BLOCK")
                 counters = [header[k] for k in CHECKPOINT_COUNTERS]
+                shapes = header["columns"]
                 # Every "q" and "d" item is 8 bytes, and the crc32 is 4.
-                items = sum(2 * n + n_other for _, n, n_other in header["columns"])
+                items = sum(2 * n + n_other + 3 * (n // BLOCK) for _, n, n_other in shapes)
                 size = len(head) + 8 * items + 4
                 if os.fstat(f.fileno()).st_size != size:
                     raise ValueError("payload length does not match the header")
@@ -401,10 +437,11 @@ class _Series:
                     raise ValueError("segment crc32 differs")
                 crc = zlib.crc32(head)
                 columns = {}
-                for name, n, n_other in header["columns"]:
+                for name, n, n_other in shapes:
                     column = columns[name] = _Column()
-                    arrays = ((column.ts, n), (column.values, n), (column.other_ts, n_other))
-                    for a, length in arrays:
+                    blocks = n // BLOCK
+                    lengths = (n, n, n_other, blocks, blocks, blocks)
+                    for a, length in zip(column.arrays(), lengths):
                         a.fromfile(f, length)
                         crc = zlib.crc32(a, crc)
                 if f.read() != crc.to_bytes(4, "little"):
@@ -415,6 +452,8 @@ class _Series:
         self.columns = columns
         for k, value in zip(CHECKPOINT_COUNTERS, counters):
             setattr(self, k, value)
+        for column in columns.values():
+            column.indexed = self.count
         self.duplicates_ignored = self.log_duplicates
         self.index = None
         return True
@@ -595,19 +634,24 @@ class HistoricStore:
                     else:
                         loc = (len(series.paths) - 1) << OFFSET_BITS | series.segment_bytes
                     # Indexed and in the columns before its line is written, so a
-                    # failed write leaves the tuple in memory, never in the log alone.
+                    # failed write leaves the tuple in memory, never in the log alone,
+                    # indexed by its key.
                     if not series.add(t, loc):
                         continue
                     added += 1
-                    if full:
-                        series.close_writer()
-                        path = series.directory / f"{series.segment_index:06d}.ndjson"
-                        series.segment_index += 1
-                        series.paths.append(path)
-                        series.writer = open(path, "ab")
-                        series.segment_lines = series.segment_bytes = 0
-                    line = (encode_tuple(t) + "\n").encode()
-                    series.writer.write(line)
+                    try:
+                        if full:
+                            series.close_writer()
+                            path = series.directory / f"{series.segment_index:06d}.ndjson"
+                            series.segment_index += 1
+                            series.paths.append(path)
+                            series.writer = open(path, "ab")
+                            series.segment_lines = series.segment_bytes = 0
+                        line = (encode_tuple(t) + "\n").encode()
+                        series.writer.write(line)
+                    except BaseException:
+                        series.unwritten(t, loc)
+                        raise
                     series.segment_lines += 1
                     series.segment_bytes += len(line)
             if series.writer is not None:

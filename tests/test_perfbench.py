@@ -1,6 +1,7 @@
 """The benchmark imports and patches package names; a deletion must fail here first."""
 
 import importlib
+import json
 from array import array
 from pathlib import Path
 
@@ -123,3 +124,10 @@ def test_tracer_counts_one_encode_per_written_line(perfbench, tmp_path):
         store.close()
         broker.shutdown()
     assert t.totals["model.encode"][0] == len(stored) + len(spilled) - 1
+
+
+def test_benchmark_json_matches_runner_spec(perfbench):
+    # The committed contract and the one the runner would write stay in step.
+    run = importlib.import_module("run")
+    spec = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert spec == run.spec()

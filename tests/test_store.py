@@ -406,18 +406,23 @@ def test_block_index_matches_scan_oracle(seed, tmp_path, monkeypatch):
     reopened.close()
 
 
-def test_in_order_ingest_summarizes_only_new_blocks(monkeypatch):
-    monkeypatch.setattr(store_module, "BLOCK", 4)
+def _count_summaries(monkeypatch) -> list:
+    """The blocks refresh summarizes from now on: it takes the min of each,
+    and MEAN and MAX queries take no other min of an array."""
     summarized = []
 
     def counting_min(*args):
-        # refresh takes min of each block it summarizes, and MEAN and MAX
-        # queries take no other min of an array.
         if len(args) == 1 and isinstance(args[0], array):
             summarized.append(args[0])
         return builtins.min(*args)
 
     monkeypatch.setattr(store_module, "min", counting_min, raising=False)
+    return summarized
+
+
+def test_in_order_ingest_summarizes_only_new_blocks(monkeypatch):
+    monkeypatch.setattr(store_module, "BLOCK", 4)
+    summarized = _count_summaries(monkeypatch)
     rng = random.Random(3)
     s = HistoricStore(None)
     s.register_series(REF)
@@ -467,6 +472,112 @@ def test_checkpoint_open_decodes_nothing(tmp_path, monkeypatch):
     assert reopened.ingest(REF, [_t(1, 1.0, src="new")]) == 1
     assert reopened.diagnostics(REF).duplicates_ignored == len(tuples)
     reopened.close()
+
+
+def test_checkpoint_open_summarizes_no_block(tmp_path, monkeypatch):
+    monkeypatch.setattr(store_module, "BLOCK", 4)
+    root = tmp_path / "root"
+    tuples = _mixed_tuples(random.Random(11), 300, 200_000, "a")
+    s = HistoricStore(root)
+    s.register_series(REF)
+    s.ingest(REF, tuples)
+    numeric = len(s._series[REF].columns["v"].values)
+    s.close()
+    summarized = _count_summaries(monkeypatch)
+    queries = [
+        (AggregationFunction.MEAN, 0, 200_000, 7),
+        (AggregationFunction.MAX, 13_500, 150_000, 60),
+    ]
+    rows = []
+    for source in ("checkpoint", "log"):
+        if source == "log":
+            (root / REF.provider / REF.database / REF.series / CHECKPOINT).unlink()
+        reopened = HistoricStore(root)
+        summarized.clear()
+        rows.append(repr(_check_against_oracle(reopened, tuples, queries)))
+        # Only a log-decoded open summarizes every full block first.
+        assert len(summarized) == (numeric // 4 if source == "log" else 0)
+        reopened.close()
+    assert rows[0] == rows[1]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_checkpointed_summaries_equal_a_fresh_refresh(seed, tmp_path, monkeypatch):
+    monkeypatch.setattr(store_module, "BLOCK", 4)
+    rng = random.Random(seed)
+    root = tmp_path / "root"
+    tuples = []
+    # Out-of-order batches land below top, in-order ones after every stored tuple.
+    top = 50_000
+    for session in range(2):
+        s = HistoricStore(root)
+        s.register_series(REF)
+        for b in range(rng.randint(1, 4)):
+            batch = _mixed_tuples(rng, rng.randint(1, 60), 50_000, f"{session}.{b}.")
+            if rng.random() < 0.6:
+                batch.sort(key=lambda t: t.timestamp)
+                batch = [StreamTuple(top + t.timestamp, t.attributes, t.source_id) for t in batch]
+                top = batch[-1].timestamp
+            s.ingest(REF, batch)
+            tuples += batch
+            if rng.random() < 0.5:
+                # Summarizes part of the columns before the close summarizes the rest.
+                _check_against_oracle(s, tuples, [(AggregationFunction.MEAN, 0, top, 30)])
+        s.close()
+    loaded = HistoricStore(root)
+    (root / REF.provider / REF.database / REF.series / CHECKPOINT).unlink()
+    decoded = HistoricStore(root)
+    got, want = loaded._series[REF], decoded._series[REF]
+    assert got.columns.keys() == want.columns.keys()
+    for name, column in want.columns.items():
+        column.refresh(want)
+        for a in ("ts", "values", "other_ts", "sums", "mins", "maxs"):
+            assert getattr(got.columns[name], a) == getattr(column, a), (name, a)
+    queries = [(fn, 0, top + 1, 40) for fn in AggregationFunction]
+    queries += [(fn, 12_000, top // 2, 7) for fn in AggregationFunction]
+    assert repr(_check_against_oracle(loaded, tuples, queries)) == repr(
+        _check_against_oracle(decoded, tuples, queries)
+    )
+    assert loaded.diagnostics(REF) == decoded.diagnostics(REF)
+    loaded.close()
+    decoded.close()
+
+
+@pytest.mark.parametrize("written", ["block", "version"])
+def test_checkpoint_of_another_format_is_ignored(written, tmp_path, monkeypatch):
+    # 30 values fill one block of 16 and one block of 17, so the payload has
+    # the same length under either BLOCK, and only the header tells them apart.
+    version = store_module.CHECKPOINT_VERSION
+    monkeypatch.setattr(store_module, "BLOCK", 16)
+    monkeypatch.setattr(store_module, "CHECKPOINT_VERSION", 1 if written == "version" else version)
+    root = tmp_path / "root"
+    tuples = [_t(k * 1_000, float(k)) for k in range(30)]
+    s = HistoricStore(root)
+    s.register_series(REF)
+    s.ingest(REF, tuples)
+    s.close()
+    monkeypatch.setattr(store_module, "BLOCK", 17 if written == "block" else 16)
+    monkeypatch.setattr(store_module, "CHECKPOINT_VERSION", version)
+    decoded = []
+    real_decode = store_module.decode_tuple
+
+    def counted(line):
+        decoded.append(line)
+        return real_decode(line)
+
+    monkeypatch.setattr(store_module, "decode_tuple", counted)
+    queries = [(fn, 0, 30_000, w) for fn in AggregationFunction for w in (17, 30)]
+    reopened = HistoricStore(root)
+    assert len(decoded) == len(tuples)
+    rows = repr(_check_against_oracle(reopened, tuples, queries))
+    # An ingest that adds nothing still rewrites the checkpoint in this format.
+    assert reopened.ingest(REF, tuples) == 0
+    reopened.close()
+    decoded.clear()
+    again = HistoricStore(root)
+    assert decoded == []
+    assert repr(_check_against_oracle(again, tuples, queries)) == rows
+    again.close()
 
 
 @pytest.mark.parametrize("damage", ["none", "missing", "flipped", "truncated", "stale"])
@@ -543,6 +654,63 @@ def test_ingest_that_stops_part_way_writes_no_checkpoint(tmp_path, monkeypatch):
     assert not (root / REF.provider / REF.database / REF.series / CHECKPOINT).exists()
     reopened = HistoricStore(root)
     assert reopened.diagnostics(REF).tuples == 2
+    reopened.close()
+
+
+class _TearingWriter:
+    """A segment writer that writes the first half of a line, then fails."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def write(self, line: bytes) -> None:
+        self.f.write(line[: len(line) // 2])
+        raise OSError("no space left on device")
+
+    def flush(self) -> None:
+        self.f.flush()
+
+    def close(self) -> None:
+        self.f.close()
+
+
+@pytest.mark.parametrize("colliding", [False, True])
+@pytest.mark.parametrize("failure", ["encode", "torn"])
+def test_failed_write_keeps_every_later_locator(failure, colliding, tmp_path, monkeypatch):
+    # The failed tuple's locator is the one the next line takes, so its index
+    # entry must stop pointing there, and the next line must not follow a
+    # partial one.
+    if colliding:
+        monkeypatch.setattr(store_module, "_key", _colliding_key)
+    root = tmp_path / "root"
+    # 3 s apart, so all three collide under _colliding_key.
+    a, b, c = (_t(k * 3_000, float(k)) for k in range(3))
+    s = HistoricStore(root)
+    s.register_series(REF)
+    assert s.ingest(REF, [a]) == 1
+    with monkeypatch.context() as m:
+        if failure == "encode":
+
+            def full_disk(t):
+                raise OSError("no space left on device")
+
+            m.setattr(store_module, "encode_tuple", full_disk)
+        else:
+            series = s._series[REF]
+            series.writer = _TearingWriter(series.writer)
+        with pytest.raises(OSError):
+            s.ingest(REF, [b])
+    assert s.ingest(REF, [c]) == 1
+    # b is in memory, not in the log; every stored line still confirms.
+    assert s.ingest(REF, [b]) == 0
+    assert s.ingest(REF, [c, a]) == 0
+    assert s.diagnostics(REF).tuples == 3
+    _check_against_oracle(s, [a, b, c], [(fn, 0, 9_000, 2) for fn in AggregationFunction])
+    s.close()
+    reopened = HistoricStore(root)
+    d = reopened.diagnostics(REF)
+    assert (d.tuples, d.bad_lines) == (2, int(failure == "torn"))
+    assert reopened.ingest(REF, [a, b, c]) == 1
     reopened.close()
 
 
