@@ -206,8 +206,8 @@ class _Column:
         if series.disordered > self.indexed:
             # Stable, so equal timestamps keep ingest order.
             order = sorted(range(len(self.ts)), key=self.ts.__getitem__)
-            self.ts = array("q", map(self.ts.__getitem__, order))
-            self.values = array("d", map(self.values.__getitem__, order))
+            self.ts = array("q", [self.ts[i] for i in order])
+            self.values = array("d", [self.values[i] for i in order])
             self.other_ts = array("q", sorted(self.other_ts))
             self.sums, self.mins, self.maxs = array("d"), array("d"), array("d")
         # Values appended in order sort after every summarized block, so only
