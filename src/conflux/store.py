@@ -21,29 +21,39 @@ column arrays with each column's block summaries, and a crc32 of all that.
 Open uses it only if the format matches, the crc32 matches and the segments
 present are exactly the listed ones, with the same sizes and crc32s;
 otherwise it is ignored and every segment line is decoded, as with no
-checkpoint. So a reopened store's first query reads no values outside its two
-edge blocks. A version-1 checkpoint (columns without summaries) is ignored
+checkpoint. So a reopened store's first query reads no values outside its
+two edge blocks. A close reuses the crc32 the open verified for every
+segment whose size is unchanged, so it checksums only the segments its
+session wrote. A version-1 checkpoint (columns without summaries) is ignored
 too, and such a root is decoded from its log on every open until an ingest,
 even one that adds only duplicates, rewrites the checkpoint at close. A
 checkpoint open builds no deduplication index: the first ingest into the
 series builds it from the log, so a store that is only queried never holds it.
 
-Deduplication is exact on (timestamp, source, attributes). The index holds one
-entry per stored tuple: the key's in-process ``hash`` mapped to where the
-tuple's line starts in the log (the key itself for ``root=None``). Every hash
-hit is confirmed by reading that line back and comparing keys, so two tuples
-whose hashes merely collide are both kept. A duplicate therefore costs more
-than a new tuple: it decodes its stored line, where a new tuple only encodes
-one. The hashes are never persisted. A tuple whose line fails to be written
-stays in memory, indexed by its key, and the next line starts a new segment.
+Deduplication is exact on (timestamp, source, attributes). The index maps
+the key's in-process ``hash`` to where the tuple's line starts in the log,
+in two parts. A tuple newer than every one indexed before it cannot be a
+duplicate, so a rooted series appends it to a time-ordered run of three
+``array('q')`` (timestamp, hash, locator) without a lookup: 24 bytes and no
+per-tuple object, which is every tuple of a history that arrives in time
+order. Any other tuple (one that ties or precedes the newest indexed
+timestamp) goes into a hash dict, as does every tuple for ``root=None``, where
+the locator is the key itself. A lookup checks the run's one row at the
+tuple's timestamp, then the dict. Every hash hit is confirmed by reading that
+line back and comparing keys, so two tuples whose hashes merely collide are
+both kept. A duplicate therefore costs more than a new tuple: it decodes its
+stored line, where a new tuple only encodes one. The hashes are never
+persisted. A tuple whose line fails to be written stays in memory, indexed
+in the dict by its key, and the next line starts a new segment.
 
 In memory a series is columnar (after Gorilla, Pelkonen et al., VLDB 2015):
 per attribute, a time-sorted ``array('q')`` of timestamps with an
 ``array('d')`` of the numeric values, plus an ``array('q')`` of the
 timestamps where the attribute is present but not numeric. No per-tuple
-objects are kept apart from the deduplication index entry. Each column has a
-block index: (sum, min, max) of every full block of BLOCK values. Ingest
-only appends, which leaves the index stale. The next query of the column,
+objects are kept apart from the dict entries of tuples that did not arrive
+in time order (ties included). Each column has a block index: (sum, min,
+max) of every full block of BLOCK values. Ingest only appends, which leaves
+the index stale. The next query of the column,
 or the ``close`` that checkpoints it, sorts it (stably, so equal timestamps
 keep ingest order) and rebuilds every summary if an append arrived out of
 order; otherwise the appended values sort after the indexed ones, and only
@@ -107,7 +117,7 @@ CHECKPOINT_VERSION = 2
 # The _Series counters a checkpoint records beside the column arrays.
 CHECKPOINT_COUNTERS = ("count", "min_ts", "max_ts", "disordered", "bad_lines", "log_duplicates")
 # Bytes read at a time when checksumming a segment.
-CRC_CHUNK = 1 << 20
+CRC_CHUNK = 1 << 16
 # A rooted series' locator packs a segment's position in ``_Series.paths``
 # above the byte offset of a line in that segment.
 OFFSET_BITS = 48
@@ -256,11 +266,16 @@ class _Series:
 
     ``disordered`` is the ``count`` just after the latest tuple that arrived
     with a timestamp below ``max_ts``; a column indexed before that must be
-    re-sorted. ``index`` maps the hash of each stored tuple's key to its
-    locator (a list of them when distinct keys share a hash): the key itself
-    for ``root=None``, else a segment position in ``paths`` and a byte offset
-    packed into one int. It is None after a checkpoint open, until the first
-    ingest builds it from the log. ``log_duplicates`` counts the log lines
+    re-sorted. A locator is a segment position in ``paths`` and a byte offset
+    packed into one int, or a key (every one for ``root=None``). ``index_max``
+    is the newest timestamp ever indexed; it never decreases. A rooted tuple
+    newer than it is indexed in the run: ``run_ts`` (strictly increasing),
+    ``run_hash`` and ``run_loc`` hold its timestamp, key hash and locator.
+    Every other tuple is in ``index``, which maps a key hash to a locator (a
+    list of them when distinct keys share a hash). ``index`` is None, and the
+    run empty, after a checkpoint open, until the first ingest builds both
+    from the log. ``crcs`` maps a segment name to the (size, crc32) that a
+    checkpoint open verified. ``log_duplicates`` counts the log lines
     that repeat an earlier line's key. ``checkpoint`` is None until an ingest,
     True once one completed, and False for good once one stopped part-way,
     which may leave tuples in memory that the log lacks.
@@ -274,6 +289,10 @@ class _Series:
         self.max_ts = -1
         self.disordered = 0
         self.index: dict[int, object] | None = {}
+        self.run_ts = array("q")
+        self.run_hash = array("q")
+        self.run_loc = array("q")
+        self.index_max = -1
         self.duplicates_ignored = 0
         self.log_duplicates = 0
         self.non_numeric_skipped = 0
@@ -286,12 +305,33 @@ class _Series:
         self.reader = None
         self.reader_pos = -1
         self.checkpoint: bool | None = None
+        self.crcs: dict[str, tuple[int, int]] = {}
 
     def remember(self, t: StreamTuple, loc: int | None) -> bool:
         """Index ``t`` at ``loc`` (None for ``root=None``, which keeps the key
         instead); False, indexing nothing, when an equal key is indexed."""
         key = _key(t)
         h = hash(key)
+        ts = t.timestamp
+        if ts > self.index_max:
+            # Newer than every indexed row, so equal to none of them.
+            self.index_max = ts
+            if loc is not None:
+                self.run_ts.append(ts)
+                self.run_hash.append(h)
+                self.run_loc.append(loc)
+                return True
+        elif self.run_ts:
+            # Run timestamps strictly increase, so at most one row has ``ts``:
+            # the last one, when many things report at one instant.
+            run_ts = self.run_ts
+            i = len(run_ts) - 1
+            if run_ts[i] != ts:
+                i = bisect_left(run_ts, ts)
+                if i == len(run_ts) or run_ts[i] != ts:
+                    i = None
+            if i is not None and self.run_hash[i] == h and self.key_at(self.run_loc[i]) == key:
+                return False
         index = self.index
         old = index.get(h)
         if loc is None:
@@ -362,11 +402,22 @@ class _Series:
         line was not written and the next line will take ``loc``."""
         key = _key(t)
         h = hash(key)
-        old = self.index[h]
-        if type(old) is list:
+        index = self.index
+        old = index.get(h)
+        if self.run_loc and self.run_loc[-1] == loc:
+            # Moved from the run to the dict; ``index_max`` stays, so a row
+            # at this timestamp still looks ``t`` up in the dict.
+            del self.run_ts[-1], self.run_hash[-1], self.run_loc[-1]
+            if old is None:
+                index[h] = key
+            elif type(old) is list:
+                old.append(key)
+            else:
+                index[h] = [old, key]
+        elif type(old) is list:
             old[old.index(loc)] = key
         else:
-            self.index[h] = key
+            index[h] = key
         # The next line opens a new segment, after any partial line.
         self.segment_lines = SEGMENT_MAX_TUPLES
 
@@ -387,13 +438,21 @@ class _Series:
         assert self.directory is not None
         for column in self.columns.values():
             column.refresh(self)
+        segments = []
+        for p in _segments(self.directory):
+            size = p.stat().st_size
+            # Only the segments this session wrote are new or have grown.
+            known_size, crc = self.crcs.get(p.name, (None, None))
+            if known_size != size:
+                crc = _crc(p)
+            segments.append([p.name, size, crc])
         header = {
             "version": CHECKPOINT_VERSION,
             "byteorder": sys.byteorder,
             "block": BLOCK,
             **{k: getattr(self, k) for k in CHECKPOINT_COUNTERS},
             "columns": [[name, len(c.ts), len(c.other_ts)] for name, c in self.columns.items()],
-            "segments": [[p.name, p.stat().st_size, _crc(p)] for p in _segments(self.directory)],
+            "segments": segments,
         }
         head = json.dumps(header).encode() + b"\n"
         crc = zlib.crc32(head)
@@ -456,6 +515,7 @@ class _Series:
             column.indexed = self.count
         self.duplicates_ignored = self.log_duplicates
         self.index = None
+        self.crcs = {name: (size, crc) for name, size, crc in listed}
         return True
 
 
@@ -484,10 +544,14 @@ def _decode(
 
 
 def _crc(path: Path) -> int:
+    # One buffer read into again and again, so a pass over a long log
+    # allocates no memory per chunk.
     crc = 0
-    with open(path, "rb") as f:
-        while chunk := f.read(CRC_CHUNK):
-            crc = zlib.crc32(chunk, crc)
+    buf = bytearray(CRC_CHUNK)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as f:
+        while n := f.readinto(buf):
+            crc = zlib.crc32(view[:n], crc)
     return crc
 
 

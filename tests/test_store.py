@@ -2,6 +2,8 @@ import builtins
 import random
 import shutil
 import tempfile
+import tracemalloc
+import zlib
 from array import array
 from pathlib import Path
 
@@ -772,6 +774,50 @@ def test_duplicate_only_ingest_writes_nothing(tmp_path, monkeypatch):
     s.close()
 
 
+def test_crc_of_a_file_read_in_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(store_module, "CRC_CHUNK", 64)
+    path = tmp_path / "segment"
+    data = bytes(random.Random(2).randrange(256) for _ in range(1_000))
+    for size in (0, 64, 1_000):
+        path.write_bytes(data[:size])
+        assert store_module._crc(path) == zlib.crc32(data[:size])
+
+
+def test_close_checksums_only_the_segments_this_session_wrote(tmp_path, monkeypatch):
+    monkeypatch.setattr(store_module, "SEGMENT_MAX_TUPLES", 4)
+    root = tmp_path / "root"
+    tuples = [_t(ts, float(ts)) for ts in range(0, 10_000, 1_000)]
+    s = HistoricStore(root)
+    s.register_series(REF)
+    s.ingest(REF, tuples)
+    s.close()
+    reopened = HistoricStore(root)
+    checksummed = []
+    real = store_module._crc
+
+    def counted(path):
+        checksummed.append(path.name)
+        return real(path)
+
+    monkeypatch.setattr(store_module, "_crc", counted)
+    tuples.append(_t(20_000, 1.0))
+    assert reopened.ingest(REF, tuples[-1:]) == 1
+    queries = [(fn, 0, 21_000, 3) for fn in AggregationFunction]
+    rows = _check_against_oracle(reopened, tuples, queries)
+    reopened.close()
+    # Three segments verified at open keep their crc32; only the new one is read.
+    assert checksummed == ["000003.ndjson"]
+
+    def no_decode(line):
+        raise AssertionError(f"decoded a segment line: {line}")
+
+    monkeypatch.setattr(store_module, "decode_tuple", no_decode)
+    again = HistoricStore(root)
+    assert _check_against_oracle(again, tuples, queries) == rows
+    assert again.diagnostics(REF) == SeriesDiagnostics(11, 0, 0, 0)
+    again.close()
+
+
 # -- hash collisions -----------------------------------------------------------
 
 
@@ -1001,3 +1047,151 @@ CollidingStoreMachine.TestCase.settings = settings(
     max_examples=20, stateful_step_count=20, deadline=None
 )
 test_store_machine_with_colliding_hashes = CollidingStoreMachine.TestCase
+
+
+# -- the time-ordered run ------------------------------------------------------
+
+
+def _indexed(series) -> tuple[list[int], int]:
+    """The run's timestamps and how many locators the dict holds."""
+    in_dict = sum(len(v) if type(v) is list else 1 for v in series.index.values())
+    return list(series.run_ts), in_dict
+
+
+def test_run_holds_in_order_rows_and_the_dict_the_rest(tmp_path):
+    s = HistoricStore(tmp_path / "root")
+    s.register_series(REF)
+    assert s.ingest(REF, [_t(ts, 1.0) for ts in range(0, 50_000, 1_000)]) == 50
+    series = s._series[REF]
+    assert _indexed(series) == (list(range(0, 50_000, 1_000)), 0)
+    tied = [_t(49_000, 2.0), _t(49_000, 1.0, src="b")]
+    late = [_t(500, 1.0), _t(0, 3.0)]
+    assert s.ingest(REF, tied + late) == 4
+    assert s.ingest(REF, [_t(60_000, 1.0), _t(60_000, 2.0)]) == 2
+    assert _indexed(series) == (list(range(0, 50_000, 1_000)) + [60_000], 5)
+    assert s.ingest(REF, [_float_twin(t) for t in tied + late]) == 0
+    assert s.ingest(REF, [_t(ts, 1.0) for ts in [*range(0, 50_000, 1_000), 60_000]]) == 0
+    assert s.diagnostics(REF) == SeriesDiagnostics(56, 4 + 51, 0, 0)
+    s.close()
+
+
+@pytest.mark.parametrize("colliding", [False, True])
+def test_failed_write_of_the_runs_last_row(colliding, tmp_path, monkeypatch):
+    # b is the run's last row when its write fails, so it moves to the dict,
+    # and a retry at its timestamp must still find it there.
+    if colliding:
+        monkeypatch.setattr(store_module, "_key", _colliding_key)
+    root = tmp_path / "root"
+    # 3 s apart, so under _colliding_key every one shares one hash.
+    a, tied, b, other = _t(0, 0.0), _t(0, 5.0), _t(3_000, 1.0), _t(3_000, 2.0)
+    s = HistoricStore(root)
+    s.register_series(REF)
+    assert s.ingest(REF, [a, tied]) == 2
+    with monkeypatch.context() as m:
+
+        def full_disk(t):
+            raise OSError("no space left on device")
+
+        m.setattr(store_module, "encode_tuple", full_disk)
+        with pytest.raises(OSError):
+            s.ingest(REF, [b])
+    assert list(s._series[REF].run_ts) == [0]
+    assert s.ingest(REF, [b]) == 0
+    assert s.ingest(REF, [other]) == 1
+    assert s.ingest(REF, [_float_twin(t) for t in (a, tied, b, other)]) == 0
+    assert s.diagnostics(REF) == SeriesDiagnostics(4, 5, 0, 0)
+    _check_against_oracle(s, [a, tied, b, other], [(fn, 0, 6_000, 2) for fn in AggregationFunction])
+    s.close()
+    reopened = HistoricStore(root)
+    assert reopened.diagnostics(REF).tuples == 3
+    assert reopened.ingest(REF, [a, tied, b, other]) == 1
+    reopened.close()
+
+
+_RUN_VALUES = st.sampled_from([1, 1.0, 2, 2.5, -3, -3.0]) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def _sessions(draw):
+    """Two sessions' batches: tuples after, at or before the newest timestamp
+    so far, and repeats of earlier tuples as they are or as float twins."""
+    drawn: list[StreamTuple] = []
+    top = 0
+    sessions = []
+    for _ in range(2):
+        batches = []
+        for _ in range(draw(st.integers(1, 4))):
+            batch = []
+            for _ in range(draw(st.integers(0, 10))):
+                kind = draw(st.sampled_from(["next", "next", "tied", "late", "repeat", "twin"]))
+                if kind in ("repeat", "twin") and drawn:
+                    t = draw(st.sampled_from(drawn))
+                    batch.append(t if kind == "repeat" else _float_twin(t))
+                    continue
+                if kind == "next":
+                    top += draw(st.integers(1, 3)) * GRID
+                ts = draw(st.integers(0, top // GRID)) * GRID if kind == "late" else top
+                attrs = {"v": draw(_RUN_VALUES)}
+                if draw(st.booleans()):
+                    attrs["w"] = draw(st.sampled_from([1, "n/a"]))
+                t = StreamTuple(ts, attrs, draw(st.sampled_from(["", "a"])))
+                drawn.append(t)
+                batch.append(t)
+            batches.append(batch)
+        sessions.append(batches)
+    return sessions
+
+
+@settings(max_examples=80, deadline=None)
+@given(sessions=_sessions(), colliding=st.booleans())
+def test_run_and_dict_dedupe_like_a_set_of_keys(sessions, colliding):
+    real_key = store_module._key
+    if colliding:
+        store_module._key = _colliding_key
+    root = Path(tempfile.mkdtemp())
+    try:
+        stored: list[StreamTuple] = []
+        keys = set()
+        for batches in sessions:
+            s = HistoricStore(root)
+            s.register_series(REF)
+            duplicates = 0
+            for batch in batches:
+                new = 0
+                for t in batch:
+                    key = (t.timestamp, t.source_id, frozenset(t.attributes.items()))
+                    if key in keys:
+                        duplicates += 1
+                    else:
+                        keys.add(key)
+                        stored.append(t)
+                        new += 1
+                assert s.ingest(REF, batch) == new
+            assert s.diagnostics(REF) == SeriesDiagnostics(len(stored), duplicates, 0, 0)
+            run_ts = s._series[REF].run_ts
+            assert all(x < y for x, y in zip(run_ts, run_ts[1:]))
+            if stored:
+                top = max(t.timestamp for t in stored) + GRID
+                _check_against_oracle(s, stored, [(fn, 0, top, 2) for fn in AggregationFunction])
+            s.close()
+    finally:
+        store_module._key = real_key
+        shutil.rmtree(root, ignore_errors=True)
+
+
+def test_in_order_ingest_retains_under_80_bytes_a_tuple(tmp_path):
+    # Aim 3: an in-order history costs its columns (16 B per numeric
+    # attribute) plus 24 B of run per tuple, with no per-tuple object.
+    n = 50_000
+    tuples = [StreamTuple(i * 1_000, {"v": i / 7, "w": i % 7}, "") for i in range(n)]
+    s = HistoricStore(tmp_path / "root")
+    s.register_series(REF)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert s.ingest(REF, tuples) == n
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    s.close()
+    assert retained / n <= 80
