@@ -77,6 +77,16 @@ def _speed(text: str) -> float:
     raise argparse.ArgumentTypeError(f"speed must be a positive number, got {text!r}")
 
 
+def _fraction(text: str) -> float:
+    """A fraction in [0, 1]; NaN and infinities are refused."""
+    try:
+        if 0 <= float(text) <= 1:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a fraction in [0, 1], got {text!r}")
+
+
 def _store_root(args) -> Path | None:
     root = args.store_root or os.environ.get("CONFLUX_STORE_ROOT")
     return Path(root) if root else None
@@ -180,10 +190,10 @@ def cmd_ingest(args) -> int:
 # -- query ------------------------------------------------------------------
 
 
-def _catalog_for(spec: QuerySpec, store: HistoricStore | None) -> Catalog:
+def _catalog_for(spec: QuerySpec, store: HistoricStore | None, trust: bool = False) -> Catalog:
     """Catalog trusting the query's own stream queue; series come from the store.
 
-    Without a store the query's own historic source is trusted too, with its
+    With no store, ``trust`` trusts the query's historic source too, with its
     attributes unknown, so a plan can be rendered without any data.
     """
     queues = set()
@@ -193,7 +203,7 @@ def _catalog_for(spec: QuerySpec, store: HistoricStore | None) -> Catalog:
     if store is not None:
         for ref in store.series_refs():
             series_attributes[(ref.provider, ref.database, ref.series)] = store.attributes(ref)
-    elif spec.sources.historic is not None:
+    elif trust and spec.sources.historic is not None:
         h = spec.sources.historic
         series_attributes[(h.provider, h.database, h.series)] = None
     return Catalog(stream_queues=frozenset(queues), series_attributes=series_attributes)
@@ -231,7 +241,7 @@ def _load_feed(path: Path) -> list[StreamTuple]:
 
 def cmd_query(args) -> int:
     spec = parse_query(args.query)
-    store = HistoricStore(_store_root(args))
+    store = HistoricStore(_store_root(args)) if _store_root(args) else None
     try:
         the_plan = plan(spec, _catalog_for(spec, store))
         duration_ms = parse_duration_ms(args.duration) if args.duration else None
@@ -256,14 +266,18 @@ def cmd_query(args) -> int:
             except Exception:
                 if pipeline.state is not PipelineState.FAILED:
                     raise
-            _stop_or_fail(pipeline)
+            # What the pipeline emitted before a stage failed is still written.
+            failed = pipeline.stop().state is PipelineState.FAILED
             logger.info("emitted %d results", _write_results(pipeline, broker, args))
+            if failed:
+                raise CliError(f"pipeline failed: {pipeline.cause}")
     finally:
-        store.close()
+        if store is not None:
+            store.close()
     return EXIT_OK
 
 
-def _history_end(spec: QuerySpec, store: HistoricStore) -> int | None:
+def _history_end(spec: QuerySpec, store: HistoricStore | None) -> int | None:
     if spec.sources.historic is None:
         return None
     h = spec.sources.historic
@@ -305,17 +319,11 @@ def _rebase(feed: list[StreamTuple], now_ms: int, speed: float) -> list[StreamTu
         raise CliError(f"replay log does not fit the clock at --speed {speed}") from exc
 
 
-def _stop_or_fail(pipeline) -> None:
-    """Stop the pipeline; a stage failure becomes a runtime error."""
-    if pipeline.stop().state is PipelineState.FAILED:
-        raise CliError(f"pipeline failed: {pipeline.cause}")
-
-
 def cmd_explain(args) -> int:
     spec = parse_query(args.query)
     store = HistoricStore(_store_root(args)) if _store_root(args) else None
     try:
-        print(plan(spec, _catalog_for(spec, store)).to_json())
+        print(plan(spec, _catalog_for(spec, store, trust=True)).to_json())
         return EXIT_OK
     finally:
         if store is not None:
@@ -407,7 +415,7 @@ def build_parser() -> _Parser:
     p.add_argument("--db", required=True)
     p.add_argument("--series", required=True)
     p.add_argument("--format", choices=("auto", "ndjson", "csv"), default="auto")
-    p.add_argument("--max-bad", type=float, default=0.1, help="malformed line fraction allowed")
+    p.add_argument("--max-bad", type=_fraction, default=0.1, help="malformed line fraction allowed")
     p.add_argument("--store-root")
     p.set_defaults(func=cmd_ingest)
 

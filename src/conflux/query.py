@@ -227,8 +227,8 @@ class _Parser:
         self._tokens = tokens
         self._pos = 0
 
-    def _peek(self, ahead: int = 0) -> Token:
-        return self._tokens[min(self._pos + ahead, len(self._tokens) - 1)]
+    def _peek(self) -> Token:
+        return self._tokens[self._pos]
 
     def _advance(self) -> Token:
         tok = self._tokens[self._pos]

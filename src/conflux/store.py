@@ -8,8 +8,8 @@ registered before ingest or query.
 Storage is one directory per series holding append-only NDJSON segments,
 the durable format and the source of truth. A line that does not decode (a
 torn write, or a byte that is not UTF-8) is skipped and counted in
-``bad_lines``. A store opened with ``root=None`` keeps everything in memory,
-which is convenient for tests.
+``bad_lines``. Every store has a root directory, which holds one directory
+per registered series.
 
 Opening a series reads its columns from a checkpoint when one covers the log
 exactly (after the LSM pattern of an immutable checkpoint beside a log,
@@ -33,12 +33,11 @@ series builds it from the log, so a store that is only queried never holds it.
 Deduplication is exact on (timestamp, source, attributes). The index maps
 the key's in-process ``hash`` to where the tuple's line starts in the log,
 in two parts. A tuple newer than every one indexed before it cannot be a
-duplicate, so a rooted series appends it to a time-ordered run of three
+duplicate, so the series appends it to a time-ordered run of three
 ``array('q')`` (timestamp, hash, locator) without a lookup: 24 bytes and no
 per-tuple object, which is every tuple of a history that arrives in time
 order. Any other tuple (one that ties or precedes the newest indexed
-timestamp) goes into a hash dict, as does every tuple for ``root=None``, where
-the locator is the key itself. A lookup checks the run's one row at the
+timestamp) goes into a hash dict. A lookup checks the run's one row at the
 tuple's timestamp, then the dict. Every hash hit is confirmed by reading that
 line back and comparing keys, so two tuples whose hashes merely collide are
 both kept. A duplicate therefore costs more than a new tuple: it decodes its
@@ -118,8 +117,8 @@ CHECKPOINT_VERSION = 2
 CHECKPOINT_COUNTERS = ("count", "min_ts", "max_ts", "disordered", "bad_lines", "log_duplicates")
 # Bytes read at a time when checksumming a segment.
 CRC_CHUNK = 1 << 16
-# A rooted series' locator packs a segment's position in ``_Series.paths``
-# above the byte offset of a line in that segment.
+# A locator packs a segment's position in ``_Series.paths`` above the byte
+# offset of a line in that segment.
 OFFSET_BITS = 48
 OFFSET_MASK = (1 << OFFSET_BITS) - 1
 
@@ -267,10 +266,11 @@ class _Series:
     ``disordered`` is the ``count`` just after the latest tuple that arrived
     with a timestamp below ``max_ts``; a column indexed before that must be
     re-sorted. A locator is a segment position in ``paths`` and a byte offset
-    packed into one int, or a key (every one for ``root=None``). ``index_max``
-    is the newest timestamp ever indexed; it never decreases. A rooted tuple
-    newer than it is indexed in the run: ``run_ts`` (strictly increasing),
-    ``run_hash`` and ``run_loc`` hold its timestamp, key hash and locator.
+    packed into one int, or the key itself for a tuple whose line failed to
+    be written. ``index_max`` is the newest timestamp ever indexed; it never
+    decreases. A tuple newer than it is indexed in the run: ``run_ts``
+    (strictly increasing), ``run_hash`` and ``run_loc`` hold its timestamp,
+    key hash and locator.
     Every other tuple is in ``index``, which maps a key hash to a locator (a
     list of them when distinct keys share a hash). ``index`` is None, and the
     run empty, after a checkpoint open, until the first ingest builds both
@@ -281,7 +281,7 @@ class _Series:
     which may leave tuples in memory that the log lacks.
     """
 
-    def __init__(self, directory: Path | None):
+    def __init__(self, directory: Path):
         self.directory = directory
         self.columns: dict[str, _Column] = {}
         self.count = 0
@@ -307,21 +307,19 @@ class _Series:
         self.checkpoint: bool | None = None
         self.crcs: dict[str, tuple[int, int]] = {}
 
-    def remember(self, t: StreamTuple, loc: int | None) -> bool:
-        """Index ``t`` at ``loc`` (None for ``root=None``, which keeps the key
-        instead); False, indexing nothing, when an equal key is indexed."""
+    def remember(self, t: StreamTuple, loc: int) -> bool:
+        """Index ``t`` at ``loc``; False, indexing nothing, when an equal key is indexed."""
         key = _key(t)
         h = hash(key)
         ts = t.timestamp
         if ts > self.index_max:
             # Newer than every indexed row, so equal to none of them.
             self.index_max = ts
-            if loc is not None:
-                self.run_ts.append(ts)
-                self.run_hash.append(h)
-                self.run_loc.append(loc)
-                return True
-        elif self.run_ts:
+            self.run_ts.append(ts)
+            self.run_hash.append(h)
+            self.run_loc.append(loc)
+            return True
+        if self.run_ts:
             # Run timestamps strictly increase, so at most one row has ``ts``:
             # the last one, when many things report at one instant.
             run_ts = self.run_ts
@@ -334,8 +332,6 @@ class _Series:
                 return False
         index = self.index
         old = index.get(h)
-        if loc is None:
-            loc = key
         if old is None:
             index[h] = loc
             return True
@@ -352,8 +348,8 @@ class _Series:
     def key_at(self, loc) -> tuple | None:
         """The key of the tuple stored at ``loc``; None when its line does not decode.
 
-        A locator that is not an int is the key itself: every one for
-        ``root=None``, and one whose line failed to be written.
+        A locator that is not an int is the key itself, of a tuple whose line
+        failed to be written.
         """
         if type(loc) is not int:
             return loc
@@ -370,7 +366,7 @@ class _Series:
         except TupleDecodeError:
             return None
 
-    def add(self, t: StreamTuple, loc: int | None) -> bool:
+    def add(self, t: StreamTuple, loc: int) -> bool:
         """Index a tuple and append it to its columns; False when it duplicates
         an earlier one."""
         if not self.remember(t, loc):
@@ -435,7 +431,6 @@ class _Series:
     def write_checkpoint(self) -> None:
         """Write the columns, their block summaries and the counters, and the
         segments they cover, to CHECKPOINT."""
-        assert self.directory is not None
         for column in self.columns.values():
             column.refresh(self)
         segments = []
@@ -473,7 +468,6 @@ class _Series:
         Leaves the series untouched and returns False when the checkpoint is
         missing, torn, stale or corrupt.
         """
-        assert self.directory is not None
         path = self.directory / CHECKPOINT
         try:
             with open(path, "rb") as f:
@@ -558,18 +552,16 @@ def _crc(path: Path) -> int:
 class HistoricStore:
     """The embedded engine behind every registered provider name."""
 
-    def __init__(self, root: Path | str | None = None):
-        self.root = None if root is None else Path(root)
+    def __init__(self, root: Path | str):
+        self.root = Path(root)
         self._series: dict[SeriesRef, _Series] = {}
         self._lock = threading.RLock()
         self._closed = False
-        if self.root is not None:
-            self._load()
+        self._load()
 
     # -- lifecycle --------------------------------------------------------
 
     def _load(self) -> None:
-        assert self.root is not None
         if not self.root.is_dir():
             return
         for provider_dir in (self.root / p for p in KNOWN_PROVIDERS):
@@ -603,7 +595,7 @@ class HistoricStore:
                 series.close_reader()
             self._closed = True
             for series in self._series.values():
-                if series.checkpoint and series.directory is not None:
+                if series.checkpoint:
                     series.write_checkpoint()
                     series.checkpoint = None
 
@@ -624,10 +616,8 @@ class HistoricStore:
             raise UnknownSeriesError(f"unknown historic provider: {ref.provider}")
         series = self._series.get(ref)
         if series is None:
-            directory = None
-            if self.root is not None:
-                directory = self.root / ref.provider / ref.database / ref.series
-                directory.mkdir(parents=True, exist_ok=True)
+            directory = self.root / ref.provider / ref.database / ref.series
+            directory.mkdir(parents=True, exist_ok=True)
             series = _Series(directory)
             self._series[ref] = series
         return series
@@ -685,39 +675,35 @@ class HistoricStore:
             completes = series.checkpoint is not False
             series.checkpoint = False
             added = 0
-            if series.directory is None:
-                for t in tuples:
-                    added += series.add(t, None)
-            else:
-                for t in tuples:
-                    full = series.writer is None or series.segment_lines >= SEGMENT_MAX_TUPLES
-                    # The locator the line gets: at the end of the last segment,
-                    # or at the start of the one a rollover opens.
+            for t in tuples:
+                full = series.writer is None or series.segment_lines >= SEGMENT_MAX_TUPLES
+                # The locator the line gets: at the end of the last segment,
+                # or at the start of the one a rollover opens.
+                if full:
+                    loc = len(series.paths) << OFFSET_BITS
+                else:
+                    loc = (len(series.paths) - 1) << OFFSET_BITS | series.segment_bytes
+                # Indexed and in the columns before its line is written, so a
+                # failed write leaves the tuple in memory, never in the log alone,
+                # indexed by its key.
+                if not series.add(t, loc):
+                    continue
+                added += 1
+                try:
                     if full:
-                        loc = len(series.paths) << OFFSET_BITS
-                    else:
-                        loc = (len(series.paths) - 1) << OFFSET_BITS | series.segment_bytes
-                    # Indexed and in the columns before its line is written, so a
-                    # failed write leaves the tuple in memory, never in the log alone,
-                    # indexed by its key.
-                    if not series.add(t, loc):
-                        continue
-                    added += 1
-                    try:
-                        if full:
-                            series.close_writer()
-                            path = series.directory / f"{series.segment_index:06d}.ndjson"
-                            series.segment_index += 1
-                            series.paths.append(path)
-                            series.writer = open(path, "ab")
-                            series.segment_lines = series.segment_bytes = 0
-                        line = (encode_tuple(t) + "\n").encode()
-                        series.writer.write(line)
-                    except BaseException:
-                        series.unwritten(t, loc)
-                        raise
-                    series.segment_lines += 1
-                    series.segment_bytes += len(line)
+                        series.close_writer()
+                        path = series.directory / f"{series.segment_index:06d}.ndjson"
+                        series.segment_index += 1
+                        series.paths.append(path)
+                        series.writer = open(path, "ab")
+                        series.segment_lines = series.segment_bytes = 0
+                    line = (encode_tuple(t) + "\n").encode()
+                    series.writer.write(line)
+                except BaseException:
+                    series.unwritten(t, loc)
+                    raise
+                series.segment_lines += 1
+                series.segment_bytes += len(line)
             if series.writer is not None:
                 series.writer.flush()
             series.checkpoint = completes

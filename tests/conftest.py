@@ -12,7 +12,7 @@ def broker(tmp_path):
 
 
 @pytest.fixture
-def mem_store():
-    s = HistoricStore(None)
+def empty_store(tmp_path):
+    s = HistoricStore(tmp_path / "store")
     yield s
     s.close()

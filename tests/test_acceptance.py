@@ -9,6 +9,7 @@ contract checked here.
 import math
 import random
 import string
+import tempfile
 import time
 from bisect import bisect_left
 
@@ -94,24 +95,25 @@ def test_criterion_1_hybrid_equivalence(capsys):
         end = rng.randrange(start, horizon + 50_000)
         fn = rng.choice(FNS)
         with_store = case % 10 != 3
-        store = HistoricStore(None)
-        store.register_series(ref)
-        if with_store:
-            store.ingest(ref, [t for t in tuples if t.timestamp < split])
-            live = sorted(
-                (t for t in tuples if t.timestamp >= split), key=lambda t: t.timestamp
-            )
-            conn = store.open_connection(ref)
-        else:
-            live = sorted(tuples, key=lambda t: t.timestamp)
-            conn = None
-        r = hybrid_evaluate(end, Interval(start, end), split, live, conn, _config(fn))
-        count, want = single_pass_window(tuples, fn, "v", start, end)
-        assert r.count == count, f"case {case}: count {r.count} != {count}"
-        assert _value_close(fn, r.value, want), f"case {case}: {r.value} != {want} ({fn})"
-        if conn is not None:
-            conn.close()
-        store.close()
+        with tempfile.TemporaryDirectory() as root:
+            store = HistoricStore(root)
+            store.register_series(ref)
+            if with_store:
+                store.ingest(ref, [t for t in tuples if t.timestamp < split])
+                live = sorted(
+                    (t for t in tuples if t.timestamp >= split), key=lambda t: t.timestamp
+                )
+                conn = store.open_connection(ref)
+            else:
+                live = sorted(tuples, key=lambda t: t.timestamp)
+                conn = None
+            r = hybrid_evaluate(end, Interval(start, end), split, live, conn, _config(fn))
+            count, want = single_pass_window(tuples, fn, "v", start, end)
+            assert r.count == count, f"case {case}: count {r.count} != {count}"
+            assert _value_close(fn, r.value, want), f"case {case}: {r.value} != {want} ({fn})"
+            if conn is not None:
+                conn.close()
+            store.close()
         cases += 1
     elapsed = time.monotonic() - begin
     ok = cases >= 1000 and elapsed < 60.0
@@ -142,26 +144,29 @@ def test_criterion_2_store_oracle(capsys):
         end = rng.randrange(start, horizon + 30_000)
         width_s = rng.randrange(1, 120)
         fn = rng.choice(FNS)
-        store = HistoricStore(None)
-        store.register_series(ref)
-        store.ingest(ref, tuples)
-        rows = store.query_to_historic(
-            ref,
-            HistoricQuery(
-                function=fn,
-                value="v",
-                start=start,
-                end=end,
-                group_by_number=width_s,
-                group_by_unit=TimeUnit.SECONDS,
-            ),
-        )
-        want = scan_group_rows(tuples, fn, "v", start, end, width_s * 1000)
-        assert len(rows) == len(want), f"case {case}: row count"
-        for got, (bs, count, result) in zip(rows, want):
-            assert got.bucket_start == bs and got.count == count, f"case {case}"
-            assert _value_close(fn, got.result, result), f"case {case}: {got.result} != {result}"
-        store.close()
+        with tempfile.TemporaryDirectory() as root:
+            store = HistoricStore(root)
+            store.register_series(ref)
+            store.ingest(ref, tuples)
+            rows = store.query_to_historic(
+                ref,
+                HistoricQuery(
+                    function=fn,
+                    value="v",
+                    start=start,
+                    end=end,
+                    group_by_number=width_s,
+                    group_by_unit=TimeUnit.SECONDS,
+                ),
+            )
+            want = scan_group_rows(tuples, fn, "v", start, end, width_s * 1000)
+            assert len(rows) == len(want), f"case {case}: row count"
+            for got, (bs, count, result) in zip(rows, want):
+                assert got.bucket_start == bs and got.count == count, f"case {case}"
+                assert _value_close(fn, got.result, result), (
+                    f"case {case}: {got.result} != {result}"
+                )
+            store.close()
         cases += 1
     elapsed = time.monotonic() - begin
     ok = cases >= 500 and elapsed < 30.0
@@ -205,8 +210,8 @@ def neubot_history():
 
 
 @pytest.fixture(scope="module")
-def neubot_store(neubot_history):
-    store = HistoricStore(None)
+def neubot_store(neubot_history, tmp_path_factory):
+    store = HistoricStore(tmp_path_factory.mktemp("neubot-store"))
     for ref in (SR_INFLUX, SR_CASS):
         store.register_series(ref)
         store.ingest(ref, neubot_history)

@@ -142,6 +142,17 @@ def test_ingest_too_many_bad_lines(roots, tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("max_bad", ["-1", "1.5", "nan", "inf"])
+def test_ingest_max_bad_must_be_a_fraction(roots, tmp_path, max_bad, capsys):
+    log = tmp_path / "x.ndjson"
+    _write_ndjson(log, _speed_tuples(1), junk=9)
+    rc = main(["ingest", str(log), "--provider", "influxdb", "--db", "d", "--series", "s",
+               f"--max-bad={max_bad}", "--store-root", str(roots)])
+    assert rc == 1
+    assert "must be a fraction in [0, 1]" in capsys.readouterr().err
+    assert not roots.exists()
+
+
 def test_query_explain_prints_plan(roots, capsys):
     # The plan is printed by `conflux explain`; `query --explain` is gone.
     assert main(["query", Q_STREAM, "--explain"]) == 1
@@ -218,6 +229,25 @@ def test_query_virtual_stage_failure_exits_2(roots, tmp_path, capsys, monkeypatc
     assert main(["query", Q_STREAM, "--replay", str(log)]) == 2
     err = capsys.readouterr().err
     assert "pipeline failed: RuntimeError: evaluation exploded" in err
+
+
+def test_query_failure_keeps_emitted_results(roots, tmp_path, capsys, monkeypatch):
+    calls = []
+    evaluate = runtime.hybrid_evaluate
+
+    def fail_third(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise RuntimeError("evaluation exploded")
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(runtime, "hybrid_evaluate", fail_third)
+    log = tmp_path / "live.ndjson"
+    _write_ndjson(log, _speed_tuples(300))
+    assert main(["query", Q_STREAM, "--replay", str(log)]) == 2
+    out, err = capsys.readouterr()
+    assert [json.loads(line)["trigger_ts"] for line in out.splitlines()] == [60_000, 120_000]
+    assert err.splitlines()[-1] == "error: pipeline failed: RuntimeError: evaluation exploded"
 
 
 def test_query_real_stage_failure_exits_2(roots, capsys, monkeypatch):
@@ -311,6 +341,11 @@ def test_query_unknown_series_is_plan_error(roots, capsys):
     rc = main(["query", NEUBOT_SPEED_MEAN, "--duration", "60s", "--store-root", str(roots)])
     assert rc == 1
     assert "plan error" in capsys.readouterr().err
+
+
+def test_historic_query_without_store_root_is_plan_error(roots, capsys):
+    assert main(["query", NEUBOT_SPEED_MEAN, "--duration", "60s"]) == 1
+    assert capsys.readouterr().err == "plan error: unknown historic provider: influxdb\n"
 
 
 def test_spill_root_removed_only_when_made_by_the_cli(tmp_path, monkeypatch, capsys):

@@ -223,8 +223,8 @@ def test_pipeline_counts_conserve_at_quiescence(broker, catalog):
     pipe.stop()
 
 
-def test_hybrid_pipeline_reads_history(broker, catalog):
-    store = HistoricStore(None)
+def test_hybrid_pipeline_reads_history(broker, catalog, tmp_path):
+    store = HistoricStore(tmp_path / "store")
     ref = SeriesRef("influxdb", "neubot", "speedtest")
     store.register_series(ref)
     history = _feed(60, 1_000, seed=5)
@@ -250,8 +250,8 @@ def test_hybrid_pipeline_reads_history(broker, catalog):
         assert close(r.value, want)
 
 
-def test_launch_rolls_back_on_missing_series(broker, catalog):
-    store = HistoricStore(None)
+def test_launch_rolls_back_on_missing_series(broker, catalog, tmp_path):
+    store = HistoricStore(tmp_path / "store")
     p = plan(parse_query(NEUBOT_SPEED_MEAN), catalog)
     pipe = launch(p, broker, store=store, clock=VirtualClock(0), threaded=False)
     assert pipe.state is PipelineState.FAILED
@@ -335,12 +335,12 @@ HYBRID_EVERY_SECOND = (
 
 
 @pytest.fixture
-def failing_store(monkeypatch):
+def failing_store(monkeypatch, tmp_path):
     def refuse(self, q):
         raise ConnectionError("store unreachable")
 
     monkeypatch.setattr(Connection, "query_to_historic", refuse)
-    store = HistoricStore(None)
+    store = HistoricStore(tmp_path / "store")
     store.register_series(SeriesRef("influxdb", "neubot", "speedtest"))
     yield store
     store.close()

@@ -84,10 +84,10 @@ def test_trigger_before_anchor_rejected():
 # -- hybrid evaluation ------------------------------------------------------
 
 
-def test_hybrid_fuses_store_and_buffer(mem_store):
-    mem_store.register_series(REF)
-    mem_store.ingest(REF, [_t(10_000, 2.0), _t(20_000, 4.0)])
-    conn = mem_store.open_connection(REF)
+def test_hybrid_fuses_store_and_buffer(empty_store):
+    empty_store.register_series(REF)
+    empty_store.ingest(REF, [_t(10_000, 2.0), _t(20_000, 4.0)])
+    conn = empty_store.open_connection(REF)
     cfg = _config(SLIDING_10M)
     r = hybrid_evaluate(120_000, Interval(0, 120_000), 60_000, [_t(70_000, 6.0)], conn, cfg)
     assert (r.count, r.history_count, r.live_count) == (3, 2, 1)
@@ -95,12 +95,12 @@ def test_hybrid_fuses_store_and_buffer(mem_store):
     conn.close()
 
 
-def test_hybrid_ignores_live_below_split(mem_store):
+def test_hybrid_ignores_live_below_split(empty_store):
     # With a store attached, buffered tuples before the split would double
     # count what history already answered; they must not contribute.
-    mem_store.register_series(REF)
-    mem_store.ingest(REF, [_t(10_000, 2.0)])
-    conn = mem_store.open_connection(REF)
+    empty_store.register_series(REF)
+    empty_store.ingest(REF, [_t(10_000, 2.0)])
+    conn = empty_store.open_connection(REF)
     live = [_t(10_000, 2.0), _t(70_000, 8.0)]
     r = hybrid_evaluate(120_000, Interval(0, 120_000), 60_000, live, conn, _config(SLIDING_10M))
     assert (r.history_count, r.live_count) == (1, 1)
@@ -115,26 +115,26 @@ def test_hybrid_without_store_uses_whole_buffer():
     assert close(r.value, 4.0)
 
 
-def test_empty_window_result_has_no_value(mem_store):
-    mem_store.register_series(REF)
-    conn = mem_store.open_connection(REF)
+def test_empty_window_result_has_no_value(empty_store):
+    empty_store.register_series(REF)
+    conn = empty_store.open_connection(REF)
     r = hybrid_evaluate(120_000, Interval(0, 120_000), 60_000, [], conn, _config(SLIDING_10M))
     assert (r.count, r.value) == (0, None)
     conn.close()
 
 
 @pytest.mark.parametrize("fn", list(AggregationFunction))
-def test_hybrid_matches_single_pass_oracle(fn, mem_store):
+def test_hybrid_matches_single_pass_oracle(fn, empty_store):
     rng = random.Random(hash(fn.value) & 0xFFFF)
-    mem_store.register_series(REF)
+    empty_store.register_series(REF)
     split = 300_000
     hist = [_t(rng.randrange(0, split), rng.uniform(0.1, 500), src=f"h{i}") for i in range(400)]
     live = sorted(
         (_t(rng.randrange(split, 600_000), rng.uniform(0.1, 500), src=f"l{i}") for i in range(200)),
         key=lambda t: t.timestamp,
     )
-    mem_store.ingest(REF, hist)
-    conn = mem_store.open_connection(REF)
+    empty_store.ingest(REF, hist)
+    conn = empty_store.open_connection(REF)
     cfg = _config(SLIDING_10M, fn=fn)
     for _ in range(50):
         start = rng.randrange(0, 550_000)
@@ -316,12 +316,12 @@ def test_buffer_evicted_after_firing(broker):
     assert op.metrics.buffered <= 61
 
 
-def test_operator_uses_history_before_start(broker, mem_store):
-    mem_store.register_series(REF)
-    mem_store.ingest(REF, [_t(ts, 2.0, src=str(ts)) for ts in range(0, 60_000, 10_000)])
+def test_operator_uses_history_before_start(broker, empty_store):
+    empty_store.register_series(REF)
+    empty_store.ingest(REF, [_t(ts, 2.0, src=str(ts)) for ts in range(0, 60_000, 10_000)])
     clock = VirtualClock(60_000)
     cfg = _config(WindowSpec(WindowKind.SLIDING, 2, TimeUnit.MINUTES), trigger_s=60)
-    op, results = _operator(broker, clock, cfg, store=mem_store, duration_ms=MIN)
+    op, results = _operator(broker, clock, cfg, store=empty_store, duration_ms=MIN)
     op.admit(_t(70_000, 8.0))
     _pump_virtual(op, clock, [], 2 * MIN)
     r = result_from_tuple(results.drain()[0])
@@ -330,12 +330,12 @@ def test_operator_uses_history_before_start(broker, mem_store):
     op.close()
 
 
-def test_behind_watermark_counted_not_buffered(broker, mem_store):
-    mem_store.register_series(REF)
-    mem_store.ingest(REF, [_t(0, 2.0)])
+def test_behind_watermark_counted_not_buffered(broker, empty_store):
+    empty_store.register_series(REF)
+    empty_store.ingest(REF, [_t(0, 2.0)])
     clock = VirtualClock(60_000)
     cfg = _config(WindowSpec(WindowKind.SLIDING, 2, TimeUnit.MINUTES), trigger_s=60)
-    op, _ = _operator(broker, clock, cfg, store=mem_store)
+    op, _ = _operator(broker, clock, cfg, store=empty_store)
     # Inside the next window, so not late, but the store answers before 60 s.
     assert not op.admit(_t(30_000, 5.0))
     m = op.metrics
@@ -415,6 +415,7 @@ class OperatorMachine(RuleBasedStateMachine):
         self.cfg = _config(WindowSpec(kind, window_s, TimeUnit.SECONDS), trigger_s=trigger_s, fn=fn)
         self.spill_root = tempfile.mkdtemp()
         self.broker = Broker(self.spill_root)
+        self.store_root = tempfile.mkdtemp()
         self.store = None
         self.history = []
         conn = None
@@ -424,7 +425,7 @@ class OperatorMachine(RuleBasedStateMachine):
             self.history = [StreamTuple(ANCHOR - 9_000, {"v": 1.0}, "h")] + [
                 StreamTuple(ANCHOR + dt, _attrs(v), f"h{i}") for i, (dt, (v, _)) in enumerate(history)
             ]
-            self.store = HistoricStore(None)
+            self.store = HistoricStore(self.store_root)
             self.store.register_series(REF)
             self.store.ingest(REF, self.history)
             conn = self.store.open_connection(REF)
@@ -447,6 +448,7 @@ class OperatorMachine(RuleBasedStateMachine):
             shutil.rmtree(self.spill_root, ignore_errors=True)
             if self.store is not None:
                 self.store.close()
+            shutil.rmtree(self.store_root, ignore_errors=True)
 
     def _window_start(self, trigger):
         if self.cfg.window.kind is WindowKind.SLIDING:

@@ -43,9 +43,9 @@ def _q(fn, start, end, n, unit=TimeUnit.MINUTES, value="v"):
 
 
 @pytest.fixture
-def store(mem_store):
-    mem_store.register_series(REF)
-    return mem_store
+def store(empty_store):
+    empty_store.register_series(REF)
+    return empty_store
 
 
 def test_series_ref_validation():
@@ -70,14 +70,14 @@ def test_ingest_counts_and_dedup(store):
     assert store.diagnostics(REF).duplicates_ignored == 3
 
 
-def test_ingest_unknown_series(mem_store):
+def test_ingest_unknown_series(empty_store):
     with pytest.raises(UnknownSeriesError):
-        mem_store.ingest(SeriesRef("influxdb", "nope", "nope"), [_t(0, 1.0)])
+        empty_store.ingest(SeriesRef("influxdb", "nope", "nope"), [_t(0, 1.0)])
 
 
-def test_register_unknown_provider(mem_store):
+def test_register_unknown_provider(empty_store):
     with pytest.raises(UnknownSeriesError):
-        mem_store.register_series(SeriesRef("mongo", "db", "s"))
+        empty_store.register_series(SeriesRef("mongo", "db", "s"))
 
 
 def test_grouped_mean_example(store):
@@ -180,9 +180,9 @@ def test_connection_handles(store):
     other.close()
 
 
-def test_open_connection_unknown_series(mem_store):
+def test_open_connection_unknown_series(empty_store):
     with pytest.raises(UnknownSeriesError):
-        mem_store.open_connection(SeriesRef("influxdb", "x", "y"))
+        empty_store.open_connection(SeriesRef("influxdb", "x", "y"))
 
 
 def test_store_closed_errors(tmp_path):
@@ -314,22 +314,23 @@ def test_query_matches_scan_oracle(fn, data):
     start = data.draw(st.integers(0, horizon))
     end = data.draw(st.integers(start, horizon + 60_000))
     width_n = data.draw(st.integers(1, 90))
-    store = HistoricStore(None)
-    store.register_series(REF)
-    store.ingest(REF, tuples)
-    rows = store.query_to_historic(
-        REF, _q(fn, start, end, width_n, unit=TimeUnit.SECONDS)
-    )
-    want = scan_group_rows(tuples, fn, "v", start, end, width_n * 1000)
-    assert len(rows) == len(want)
-    for got, (bs, count, result) in zip(rows, want):
-        assert got.bucket_start == bs
-        assert got.count == count
-        if fn is AggregationFunction.MEAN:
-            assert close(got.result, result)
-        else:
-            assert got.result == result
-    store.close()
+    with tempfile.TemporaryDirectory() as root:
+        store = HistoricStore(root)
+        store.register_series(REF)
+        store.ingest(REF, tuples)
+        rows = store.query_to_historic(
+            REF, _q(fn, start, end, width_n, unit=TimeUnit.SECONDS)
+        )
+        want = scan_group_rows(tuples, fn, "v", start, end, width_n * 1000)
+        assert len(rows) == len(want)
+        for got, (bs, count, result) in zip(rows, want):
+            assert got.bucket_start == bs
+            assert got.count == count
+            if fn is AggregationFunction.MEAN:
+                assert close(got.result, result)
+            else:
+                assert got.result == result
+        store.close()
 
 
 # -- block index against the scan oracle --------------------------------------
@@ -422,11 +423,11 @@ def _count_summaries(monkeypatch) -> list:
     return summarized
 
 
-def test_in_order_ingest_summarizes_only_new_blocks(monkeypatch):
+def test_in_order_ingest_summarizes_only_new_blocks(tmp_path, monkeypatch):
     monkeypatch.setattr(store_module, "BLOCK", 4)
     summarized = _count_summaries(monkeypatch)
     rng = random.Random(3)
-    s = HistoricStore(None)
+    s = HistoricStore(tmp_path / "root")
     s.register_series(REF)
     tuples = []
     top = 0
@@ -841,10 +842,9 @@ def _colliding_key(t: StreamTuple, real=store_module._key) -> _CollidingKey:
     return _CollidingKey(real(t))
 
 
-@pytest.mark.parametrize("rooted", [False, True])
-def test_colliding_hashes_keep_dedupe_exact(tmp_path, monkeypatch, rooted):
+def test_colliding_hashes_keep_dedupe_exact(tmp_path, monkeypatch):
     monkeypatch.setattr(store_module, "_key", _colliding_key)
-    root = tmp_path / "root" if rooted else None
+    root = tmp_path / "root"
     tuples = [
         StreamTuple(k * 1_000, {"v": k % 5, "w": 1.0}, src) for k in range(40) for src in "ab"
     ]
@@ -858,8 +858,6 @@ def test_colliding_hashes_keep_dedupe_exact(tmp_path, monkeypatch, rooted):
     assert s.diagnostics(REF) == SeriesDiagnostics(80, 40 + 80, 0, 0)
     _check_against_oracle(s, tuples, queries)
     s.close()
-    if not rooted:
-        return
     directory = root / REF.provider / REF.database / REF.series
     for source in ("checkpoint", "log"):
         if source == "log":
