@@ -106,10 +106,15 @@ class _Segment:
     def exhausted(self) -> bool:
         return self.read >= self.written
 
+    @property
+    def closed(self) -> bool:
+        """True once the segment takes no more lines."""
+        return self._writer is None
+
     def close_writer(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            self._writer = None
+        writer, self._writer = self._writer, None
+        if writer is not None:
+            writer.close()
 
     def discard(self) -> None:
         self.close_writer()
@@ -170,15 +175,26 @@ class Queue:
         self._published += 1
 
     def _spill_locked(self, t: StreamTuple) -> None:
-        if not self._segments or self._segments[-1].written >= SEGMENT_MAX_TUPLES:
-            if self._segments:
-                self._segments[-1].flush()
-                self._segments[-1].close_writer()
+        if not self._segments or self._segments[-1].closed:
             self._spill_dir.mkdir(parents=True, exist_ok=True)
             seg = _Segment(self._spill_dir / f"{self._next_segment:06d}.ndjson")
             self._next_segment += 1
             self._segments.append(seg)
-        self._segments[-1].append(encode_tuple(t))
+        seg = self._segments[-1]
+        try:
+            seg.append(encode_tuple(t))
+        except BaseException:
+            # The tail may now hold part of this line. Nothing more is written
+            # to this segment, so the fragment lies past its counted lines and
+            # is never read; the next spill opens a new segment.
+            if seg.written:
+                seg.close_writer()
+            else:
+                self._segments.pop()
+                seg.discard()
+            raise
+        if seg.written >= SEGMENT_MAX_TUPLES:
+            seg.close_writer()
         self._on_disk += 1
         self._spilled += 1
 

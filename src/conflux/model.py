@@ -8,7 +8,9 @@ Unix epoch. Time buckets and window extents are half-open intervals
 timeline.
 
 All types in this module are immutable after construction and safe to hand
-between threads.
+between threads. Decoded tuples share their attribute-name and source-id
+strings: ``decode_tuple`` takes each from one bounded module table, so a
+backlog of decoded tuples pays for each distinct name once, not per tuple.
 """
 
 from __future__ import annotations
@@ -29,6 +31,13 @@ Value = Union[int, float, str]
 
 # Reserved keys of the NDJSON wire encoding; every other key is an attribute.
 RESERVED_KEYS = frozenset({"ts", "src"})
+
+# Decoded names and source ids are shared through this table; it is cleared
+# once it holds more than _SHARED_MAX strings, so ever-new source ids cannot
+# grow it without bound (``sys.intern`` would make each one immortal). Each
+# use is one dict call, so decoders on several threads need no lock.
+_SHARED_MAX = 4096
+_shared: dict[str, str] = {}
 
 # What the C JSON encoder calls for an int or a float, subclasses included.
 _int_repr = int.__repr__
@@ -101,7 +110,7 @@ def _too_many_digits(v: int) -> bool:
     return limit > 0 and v.bit_length() > 3 * limit and abs(v) >= 10**limit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StreamTuple:
     """One timestamped observation: source id plus attribute-value pairs.
 
@@ -194,8 +203,11 @@ def encode_tuple(t: StreamTuple) -> str:
     return "".join(parts)
 
 
-def decode_tuple(line: str) -> StreamTuple:
-    """Decode one NDJSON line into a StreamTuple.
+def decode_tuple(line: str | bytes) -> StreamTuple:
+    """Decode one NDJSON line (text or UTF-8 bytes) into a StreamTuple.
+
+    Attribute names and a str source id are swapped for the equal strings
+    already in the shared table, in the line's attribute order.
 
     Raises TupleDecodeError for malformed or too deeply nested JSON, a line
     that is not an object with ``ts``, or anything StreamTuple rejects.
@@ -208,7 +220,13 @@ def decode_tuple(line: str) -> StreamTuple:
         raise TupleDecodeError("tuple line must be a JSON object with 'ts'")
     ts = obj.pop("ts")
     src = obj.pop("src", "")
+    share = _shared.setdefault
+    attributes = {share(name, name): v for name, v in obj.items()}
+    if isinstance(src, str):
+        src = share(src, src)
+    if len(_shared) > _SHARED_MAX:
+        _shared.clear()
     try:
-        return StreamTuple(ts, obj, src)
+        return StreamTuple(ts, attributes, src)
     except ValueError as exc:
         raise TupleDecodeError(str(exc)) from None

@@ -170,11 +170,19 @@ class PipelineState(str, Enum):
 
 @dataclass(frozen=True)
 class StageStats:
+    """One stage's counters. An operator's ``tuples_in`` is the tuples it
+    admitted plus ``late_dropped``, ``behind_watermark`` and
+    ``non_numeric_skipped``; ``buffered`` is how many admitted tuples it
+    still holds for its windows. The fetch stage drops nothing."""
+
     name: str
     kind: str
     tuples_in: int
     tuples_out: int
-    late_dropped: int
+    late_dropped: int = 0
+    behind_watermark: int = 0
+    non_numeric_skipped: int = 0
+    buffered: int = 0
 
 
 @dataclass(frozen=True)
@@ -396,7 +404,7 @@ class Pipeline:
         if self._source is not None:
             # Every tuple drained from the source is handed to each reader.
             fanned = self._fetched * len(self._readers)
-            stages.append(StageStats("fetch", "fetch", self._fetched, fanned, late_dropped=0))
+            stages.append(StageStats("fetch", "fetch", self._fetched, fanned))
         for op in self.operators:
             m = op.metrics
             stages.append(
@@ -406,6 +414,9 @@ class Pipeline:
                     tuples_in=m.tuples_in,
                     tuples_out=m.results_emitted,
                     late_dropped=m.late_dropped,
+                    behind_watermark=m.behind_watermark,
+                    non_numeric_skipped=m.non_numeric_skipped,
+                    buffered=m.buffered,
                 )
             )
         names = [q.name for q in self.plan.queues] + [self.plan.source_queue]

@@ -18,6 +18,7 @@ from conflux.broker import (
     SubscriberConflict,
 )
 from conflux.model import StreamTuple
+from test_store import _TearingWriter
 
 
 def _t(i: int) -> StreamTuple:
@@ -215,6 +216,53 @@ def test_delete_queue_removes_state(broker):
     assert not broker.has_queue("q")
     with pytest.raises(ClosedQueueError):
         q.publish(_t(99))
+
+
+@pytest.mark.parametrize("tear_at", ["open segment", "new segment"])
+def test_torn_spill_append_loses_nothing_accepted(broker, monkeypatch, tear_at):
+    # A failed append closes its segment to writes, so the torn fragment lies
+    # past the counted lines and the next spill starts a new segment.
+    if tear_at == "new segment":
+        monkeypatch.setattr(broker_module, "SEGMENT_MAX_TUPLES", 1)
+    q = broker.declare_queue(QueueConfig(name="q", memory_capacity=1))
+    q.publish_many([_t(1), _t(2)])
+    if tear_at == "open segment":
+        seg = q._segments[-1]
+        seg._writer = _TearingWriter(seg._writer)
+    else:
+        real_open = open
+
+        def tearing_open(*args, **kwargs):
+            return _TearingWriter(real_open(*args, **kwargs))
+
+        monkeypatch.setattr(broker_module, "open", tearing_open, raising=False)
+    with pytest.raises(OSError):
+        q.publish(_t(3))
+    monkeypatch.undo()
+    q.publish(_t(4))
+    q.publish_many([_t(5), _t(6)])
+    s = q.stats()
+    assert (s.published, s.spilled) == (5, 4)
+    sub = broker.subscribe(q)
+    assert sub.drain() == [_t(i) for i in (1, 2, 4, 5, 6)]
+    s = q.stats()
+    assert s.published == s.delivered + s.in_memory + s.on_disk
+    assert (s.delivered, s.in_memory, s.on_disk) == (5, 0, 0)
+    assert list(broker.spill_root.glob("q/*")) == []
+
+
+def test_drained_spill_retains_under_400_bytes_a_tuple(broker, retained_bytes_per_item):
+    # Decoded tuples are slotted and share their attribute names and source
+    # id, so a drained backlog costs about what tuples built in memory do.
+    n = 20_000
+    q = broker.declare_queue(QueueConfig(name="q", memory_capacity=1))
+    q.publish_many(
+        [StreamTuple(i, {"download_speed": i / 7, "upload_speed": i % 7 + 0.5}, "thing-1") for i in range(n)]
+    )
+    sub = broker.subscribe(q)
+    got, per_tuple = retained_bytes_per_item(sub.drain, n)
+    assert len(got) == n and got[-1].timestamp == n - 1
+    assert per_tuple <= 400
 
 
 def test_stats_conservation_under_partial_consumption(broker):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 import tempfile
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
+from conflux import model
 from conflux.broker import Broker, QueueConfig
 from conflux.model import (
     MAX_MILLIS,
@@ -113,6 +115,40 @@ def test_aggregate_row_result_presence():
 def test_encode_decode_round_trip():
     t = StreamTuple(timestamp=1234, attributes={"a": 1.5, "b": "x"}, source_id="s1")
     assert decode_tuple(encode_tuple(t)) == t
+
+
+def test_stream_tuple_is_slotted_and_frozen():
+    t = StreamTuple(timestamp=1, attributes={"v": 2.0}, source_id="s")
+    assert not hasattr(t, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.timestamp = 2
+    assert dataclasses.replace(t, timestamp=2) == StreamTuple(2, {"v": 2.0}, "s")
+
+
+def test_decoded_tuples_share_names_and_sources():
+    originals = [
+        StreamTuple(k, {"upload_speed": k / 3, "download_speed": k, "label": "x"}, "thing-7")
+        for k in range(3)
+    ]
+    # The store hands decode_tuple bytes, the broker str.
+    decoded = [decode_tuple(encode_tuple(originals[0]))]
+    decoded += [decode_tuple(encode_tuple(t).encode()) for t in originals[1:]]
+    assert decoded == originals
+    assert [list(d.attributes) for d in decoded] == [list(t.attributes) for t in originals]
+    first = decoded[0]
+    for d in decoded[1:]:
+        assert d.source_id is first.source_id
+        assert all(a is b for a, b in zip(d.attributes, first.attributes))
+
+
+def test_shared_name_table_stays_within_its_bound():
+    for k in range(2 * model._SHARED_MAX + 3):
+        t = decode_tuple(f'{{"ts":{k},"src":"thing-{k}","name-{k}":{k}}}')
+        assert t == StreamTuple(k, {f"name-{k}": k}, f"thing-{k}")
+        assert len(model._shared) <= model._SHARED_MAX
+    wide = {f"wide-{k}": k for k in range(model._SHARED_MAX + 1)}
+    assert decode_tuple(encode_tuple(StreamTuple(0, wide))).attributes == wide
+    assert len(model._shared) <= model._SHARED_MAX
 
 
 def test_encode_is_compact_single_line():

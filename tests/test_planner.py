@@ -250,6 +250,33 @@ def test_hybrid_pipeline_reads_history(broker, catalog, tmp_path):
         assert close(r.value, want)
 
 
+def test_hybrid_status_reconciles_every_tuple_in(broker, catalog, tmp_path):
+    store = HistoricStore(tmp_path / "store")
+    ref = SeriesRef("influxdb", "neubot", "speedtest")
+    store.register_series(ref)
+    store.ingest(ref, _feed(60, 1_000, seed=5))
+    anchor = 15 * MIN
+    pipe, _, _ = _launch_virtual(broker, catalog, NEUBOT_SPEED_MEAN, store=store, start_ms=anchor)
+    # The first trigger (anchor + 20 s) reads [anchor - 9 min 40 s, anchor + 20 s).
+    late = StreamTuple(anchor - 12 * MIN, {"download_speed": 1.0}, "late")
+    behind = StreamTuple(anchor - 5 * MIN, {"download_speed": 2.0}, "behind")
+    text = StreamTuple(anchor + 5_000, {"download_speed": "fast"}, "text")
+    live = _feed(3, 1_000, start=anchor + 1_000, seed=6)
+    feed = sorted([late, behind, text, *live], key=lambda t: t.timestamp)
+    for end_ms, fired in ((anchor + 15_000, 0), (anchor + 25_000, 1)):
+        pipe.run(feed=feed, end_ms=end_ms)
+        feed = []
+        (op,) = [s for s in pipe.status().stages if s.kind == "operator"]
+        assert (op.tuples_in, op.tuples_out) == (6, fired)
+        assert (op.late_dropped, op.behind_watermark, op.non_numeric_skipped) == (1, 1, 1)
+        assert op.buffered == 3
+        assert op.tuples_in == op.buffered + op.late_dropped + op.behind_watermark + op.non_numeric_skipped
+    fetch = pipe.status().stages[0]
+    assert (fetch.kind, fetch.tuples_in, fetch.late_dropped, fetch.buffered) == ("fetch", 6, 0, 0)
+    pipe.stop()
+    store.close()
+
+
 def test_launch_rolls_back_on_missing_series(broker, catalog, tmp_path):
     store = HistoricStore(tmp_path / "store")
     p = plan(parse_query(NEUBOT_SPEED_MEAN), catalog)

@@ -2,7 +2,6 @@ import builtins
 import random
 import shutil
 import tempfile
-import tracemalloc
 import zlib
 from array import array
 from pathlib import Path
@@ -1177,19 +1176,14 @@ def test_run_and_dict_dedupe_like_a_set_of_keys(sessions, colliding):
         shutil.rmtree(root, ignore_errors=True)
 
 
-def test_in_order_ingest_retains_under_80_bytes_a_tuple(tmp_path):
+def test_in_order_ingest_retains_under_80_bytes_a_tuple(tmp_path, retained_bytes_per_item):
     # Aim 3: an in-order history costs its columns (16 B per numeric
     # attribute) plus 24 B of run per tuple, with no per-tuple object.
     n = 50_000
     tuples = [StreamTuple(i * 1_000, {"v": i / 7, "w": i % 7}, "") for i in range(n)]
     s = HistoricStore(tmp_path / "root")
     s.register_series(REF)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        assert s.ingest(REF, tuples) == n
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    ingested, per_tuple = retained_bytes_per_item(lambda: s.ingest(REF, tuples), n)
     s.close()
-    assert retained / n <= 80
+    assert ingested == n
+    assert per_tuple <= 80
