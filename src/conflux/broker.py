@@ -10,9 +10,11 @@ region always holds tuples newer than the in-memory region: once a queue has
 tuples on disk, new publishes append to disk until the disk backlog drains,
 which keeps a single memory/disk boundary and preserves order.
 
-Queue handles are shareable across threads. ``publish``/``receive`` may run
-concurrently; the batch variants amortize lock traffic for high-rate
-producers. Stats are exact at quiescence.
+Consumers never wait: ``receive``, ``receive_many`` and ``drain`` take what
+is queued and return at once. Producers may publish from other threads, so
+each queue keeps a lock; ``publish_many`` takes it once per batch. A spill
+line that does not decode is consumed once, skipped, logged and counted in
+``QueueStats.bad_lines``. Stats are exact at quiescence.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence
 
-from .model import StreamTuple, decode_tuple, encode_tuple
+from .model import StreamTuple, TupleDecodeError, decode_tuple, encode_tuple
 
 logger = logging.getLogger(__name__)
 
@@ -66,13 +68,16 @@ class QueueConfig:
 
 @dataclass(frozen=True)
 class QueueStats:
-    """Counter snapshot; published = delivered + in_memory + on_disk at quiescence."""
+    """Counter snapshot; published = delivered + in_memory + on_disk + bad_lines
+    at quiescence, where ``bad_lines`` counts spill lines skipped because they
+    did not decode."""
 
     published: int
     delivered: int
     spilled: int
     in_memory: int
     on_disk: int
+    bad_lines: int
 
 
 class _Segment:
@@ -83,7 +88,7 @@ class _Segment:
         self.written = 0
         self.read = 0
         self._writer: IO[str] | None = open(path, "a", encoding="utf-8")
-        self._reader: IO[str] | None = None
+        self._reader: IO[bytes] | None = None
 
     def append(self, line: str) -> None:
         assert self._writer is not None
@@ -95,12 +100,14 @@ class _Segment:
         if self._writer is not None:
             self._writer.flush()
 
-    def pop_line(self) -> str:
+    def pop_line(self) -> bytes:
+        """The next line, read as bytes so that a byte which is not UTF-8
+        spoils only its own line."""
         if self._reader is None:
-            self._reader = open(self.path, "r", encoding="utf-8")
+            self._reader = open(self.path, "rb")
         line = self._reader.readline()
         self.read += 1
-        return line.rstrip("\n")
+        return line
 
     @property
     def exhausted(self) -> bool:
@@ -132,7 +139,6 @@ class Queue:
         self.name = config.name
         self._spill_dir = spill_dir
         self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
         self._mem: deque[StreamTuple] = deque()
         self._segments: deque[_Segment] = deque()
         self._next_segment = 0
@@ -140,6 +146,7 @@ class Queue:
         self._delivered = 0
         self._spilled = 0
         self._on_disk = 0
+        self._bad_lines = 0
         self._closed = False
         self._subscribed = False
 
@@ -150,7 +157,6 @@ class Queue:
         with self._lock:
             self._publish_locked(t)
             self._flush_locked()
-            self._not_empty.notify()
 
     def publish_many(self, tuples: Sequence[StreamTuple]) -> None:
         """Enqueue a batch under one lock acquisition, preserving order."""
@@ -163,7 +169,6 @@ class Queue:
             finally:
                 # Tuples spilled before a failing one are counted on disk.
                 self._flush_locked()
-                self._not_empty.notify()
 
     def _publish_locked(self, t: StreamTuple) -> None:
         if self._closed:
@@ -205,30 +210,28 @@ class Queue:
 
     # -- consuming --------------------------------------------------------
 
-    def _pop_locked(self) -> StreamTuple:
+    def _pop_locked(self) -> StreamTuple | None:
+        """The oldest tuple, or None once the queue is empty. A spill line
+        that does not decode is consumed, counted in ``bad_lines`` and skipped."""
         if self._mem:
-            t = self._mem.popleft()
-        else:
+            self._delivered += 1
+            return self._mem.popleft()
+        while self._on_disk:
             seg = self._segments[0]
-            t = decode_tuple(seg.pop_line())
+            line = seg.pop_line()
             self._on_disk -= 1
             if seg.exhausted and (len(self._segments) > 1 or self._on_disk == 0):
                 seg.discard()
                 self._segments.popleft()
-        self._delivered += 1
-        return t
-
-    def _receive_locked(self, timeout: float | None) -> StreamTuple | None:
-        if timeout is None:
-            while not (self._mem or self._on_disk or self._closed):
-                self._not_empty.wait()
-        else:
-            self._not_empty.wait_for(
-                lambda: self._mem or self._on_disk or self._closed, timeout=timeout
-            )
-        if not (self._mem or self._on_disk):
-            return None
-        return self._pop_locked()
+            try:
+                t = decode_tuple(line.decode())
+            except (UnicodeDecodeError, TupleDecodeError) as exc:
+                self._bad_lines += 1
+                logger.warning("queue %s: skipped a spill line: %s", self.name, exc)
+                continue
+            self._delivered += 1
+            return t
+        return None
 
     # -- admin ------------------------------------------------------------
 
@@ -240,13 +243,13 @@ class Queue:
                 spilled=self._spilled,
                 in_memory=len(self._mem),
                 on_disk=self._on_disk,
+                bad_lines=self._bad_lines,
             )
 
     def close(self) -> None:
         """Stop accepting publishes; buffered tuples remain receivable."""
         with self._lock:
             self._closed = True
-            self._not_empty.notify_all()
 
     def _destroy(self) -> None:
         with self._lock:
@@ -256,15 +259,14 @@ class Queue:
                 seg.discard()
             self._segments.clear()
             self._on_disk = 0
-            self._not_empty.notify_all()
 
 
 class Subscription:
     """Exclusive consumer handle for one queue.
 
-    ``receive`` blocks up to ``timeout`` seconds (None blocks until data or
-    close); an empty result on timeout is not a failure. Closing the
-    subscription frees the queue's consumer slot.
+    Every read takes what is queued and returns at once; an empty queue
+    gives ``None`` or ``[]``, never a wait. Closing the subscription frees
+    the queue's consumer slot.
     """
 
     def __init__(self, queue: Queue):
@@ -272,35 +274,34 @@ class Subscription:
         self._open = True
 
     def receive(self, timeout: float | None = None) -> StreamTuple | None:
+        """The oldest tuple, or None at once. ``timeout`` may only be None or 0."""
+        if timeout:
+            raise ValueError(f"receive never waits; timeout must be None or 0, got {timeout!r}")
         if not self._open:
             raise BrokerError("subscription is closed")
         with self._queue._lock:
-            return self._queue._receive_locked(timeout)
+            return self._queue._pop_locked()
 
-    def receive_many(self, max_count: int, timeout: float | None = None) -> list[StreamTuple]:
-        """Receive up to max_count tuples; waits for the first one only."""
+    def receive_many(self, max_count: int) -> list[StreamTuple]:
+        """Take up to ``max_count`` of the oldest tuples without waiting."""
         if not self._open:
             raise BrokerError("subscription is closed")
-        q = self._queue
+        pop = self._queue._pop_locked
         out: list[StreamTuple] = []
-        with q._lock:
-            first = q._receive_locked(timeout)
-            if first is None:
-                return out
-            out.append(first)
-            while len(out) < max_count and (q._mem or q._on_disk):
-                out.append(q._pop_locked())
+        with self._queue._lock:
+            while len(out) < max_count and (t := pop()) is not None:
+                out.append(t)
         return out
 
     def drain(self) -> list[StreamTuple]:
-        """Take everything currently buffered without waiting."""
+        """Take everything currently queued."""
         if not self._open:
             raise BrokerError("subscription is closed")
-        q = self._queue
+        pop = self._queue._pop_locked
         out: list[StreamTuple] = []
-        with q._lock:
-            while q._mem or q._on_disk:
-                out.append(q._pop_locked())
+        with self._queue._lock:
+            while (t := pop()) is not None:
+                out.append(t)
         return out
 
     def close(self) -> None:

@@ -253,9 +253,7 @@ def cmd_query(args) -> int:
         else:
             clock = SystemClock()
         with _broker(args) as broker:
-            pipeline = launch(
-                the_plan, broker, store, clock=clock, duration_ms=duration_ms, threaded=False
-            )
+            pipeline = launch(the_plan, broker, store, clock=clock, duration_ms=duration_ms)
             if pipeline.state is PipelineState.FAILED:
                 raise CliError(f"pipeline failed to start: {pipeline.cause}")
             if args.clock == "real":

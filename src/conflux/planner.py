@@ -16,9 +16,9 @@ every operator of the plan at that instant, so their windows line up. On
 either clock a pipeline runs by ``Pipeline.run``, the one loop that reads the
 clock once per pass, publishes the feed due by then, pumps every stage at that
 same instant (``Pipeline.pump``) and waits for the next due instant: a virtual
-clock jumps there, a real clock sleeps. The caller runs it, or
-``launch(threaded=True)`` runs it on a background thread for producers on
-other threads. Operators catch nothing, so a stage that raises (a store
+clock jumps there, a real clock sleeps. Launching starts no thread: the
+caller runs the loop, on its own thread or on one it owns, and ``stop`` from
+any thread ends it. Operators catch nothing, so a stage that raises (a store
 error, a closed result queue) fails the pipeline, with the error as cause.
 """
 
@@ -44,8 +44,6 @@ logger = logging.getLogger(__name__)
 # Longest a real-clock ``run`` sleeps before it pumps tuples that other
 # threads published.
 POLL_S = 0.1
-# Longest ``Pipeline.stop`` waits for the driver thread's last pump.
-DRAIN_TIMEOUT_S = 10.0
 
 
 class PlanError(ValueError):
@@ -195,7 +193,7 @@ class PipelineStatus:
 
 
 class Pipeline:
-    """A launched plan: owns subscriptions, connections and any driver thread."""
+    """A launched plan: owns its subscriptions and connections."""
 
     def __init__(
         self,
@@ -218,9 +216,8 @@ class Pipeline:
         self._source: Subscription | None = None
         self._fetched = 0
         self._created_queues: list[str] = []
-        self._driver: threading.Thread | None = None
         self._stop = threading.Event()
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
 
     # -- wiring -----------------------------------------------------------
 
@@ -231,7 +228,7 @@ class Pipeline:
             self._created_queues.append(config.name)
         return queue
 
-    def start(self, threaded: bool = True) -> "Pipeline":
+    def start(self) -> "Pipeline":
         """Wire every stage anchored at one clock reading, rolling back to
         nothing on failure."""
         try:
@@ -243,11 +240,6 @@ class Pipeline:
             logger.warning("pipeline %s failed to start: %s", self.plan.id, exc)
             return self
         self.state = PipelineState.RUNNING
-        if threaded:
-            self._driver = threading.Thread(
-                target=self._run_logged, name=f"pipeline-{self.plan.id}", daemon=True
-            )
-            self._driver.start()
         return self
 
     def _wire(self, anchor: int) -> None:
@@ -346,56 +338,50 @@ class Pipeline:
         or when the next instant is past ``end_ms``. Once every operator has
         finished, the rest of the feed is published at once and pumped.
         The feed must be sorted by timestamp. Raises PlanError unless the
-        pipeline is running and this is the thread that drives it: the
-        caller's, or the driver thread of ``launch(threaded=True)``.
+        pipeline is running. It holds the pipeline lock until it returns, so
+        a ``stop`` from another thread waits for it and two threads never
+        pump at once.
         """
-        if self.state is not PipelineState.RUNNING:
-            raise PlanError(f"pipeline is {self.state.value}, not running")
-        if self._driver is not None and threading.current_thread() is not self._driver:
-            raise PlanError("a threaded pipeline is run by its own driver thread")
-        feed = feed or []
-        source_name = self.plan.source_queue
-        if feed and source_name is None:
-            raise PlanError("feed given but the plan has no stream source")
-        source = self.broker.get_queue(source_name) if feed else None
-        virtual = isinstance(self.clock, VirtualClock)
-        i = 0
-        while True:
-            now = self.clock.now_ms()
-            j = bisect_right(feed, now, lo=i, key=lambda t: t.timestamp)
-            if j > i:
-                source.publish_many(feed[i:j])
-                i = j
-            self.pump_until_quiet(now)
-            if self._stop.is_set():
-                return
-            pending = [op for op in self.operators if not op.finished]
-            if not pending:
-                if i < len(feed):
-                    source.publish_many(feed[i:])
-                    self.pump_until_quiet(now)
-                return
-            due = [feed[i].timestamp] if i < len(feed) else []
-            for op in pending:
-                nxt = op.next_trigger_ms
-                if not virtual or op.end_ms is not None or (end_ms is not None and nxt <= end_ms):
-                    due.append(nxt)
-            if not due:
-                return
-            t = min(due)
-            if end_ms is not None and t > end_ms:
-                return
-            if virtual:
-                self.clock.set_ms(t)
-            else:
-                self._stop.wait(min(max((t - now) / 1000.0, 0.0), POLL_S))
-
-    def _run_logged(self) -> None:
-        """``run`` that logs a stage failure instead of raising it."""
-        try:
-            self.run()
-        except Exception:
-            logger.exception("pipeline %s failed", self.plan.id)
+        with self._lock:
+            if self.state is not PipelineState.RUNNING:
+                raise PlanError(f"pipeline is {self.state.value}, not running")
+            feed = feed or []
+            source_name = self.plan.source_queue
+            if feed and source_name is None:
+                raise PlanError("feed given but the plan has no stream source")
+            source = self.broker.get_queue(source_name) if feed else None
+            virtual = isinstance(self.clock, VirtualClock)
+            i = 0
+            while True:
+                now = self.clock.now_ms()
+                j = bisect_right(feed, now, lo=i, key=lambda t: t.timestamp)
+                if j > i:
+                    source.publish_many(feed[i:j])
+                    i = j
+                self.pump_until_quiet(now)
+                if self._stop.is_set():
+                    return
+                pending = [op for op in self.operators if not op.finished]
+                if not pending:
+                    if i < len(feed):
+                        source.publish_many(feed[i:])
+                        self.pump_until_quiet(now)
+                    return
+                due = [feed[i].timestamp] if i < len(feed) else []
+                for op in pending:
+                    nxt = op.next_trigger_ms
+                    bounded = op.end_ms is not None or (end_ms is not None and nxt <= end_ms)
+                    if not virtual or bounded:
+                        due.append(nxt)
+                if not due:
+                    return
+                t = min(due)
+                if end_ms is not None and t > end_ms:
+                    return
+                if virtual:
+                    self.clock.set_ms(t)
+                else:
+                    self._stop.wait(min(max((t - now) / 1000.0, 0.0), POLL_S))
 
     # -- monitoring -------------------------------------------------------
 
@@ -432,18 +418,20 @@ class Pipeline:
     # -- shutdown ---------------------------------------------------------
 
     def stop(self) -> PipelineStatus:
-        """Graceful stop: a last pass of ``run`` (by the driver thread, if there
-        is one, within ``DRAIN_TIMEOUT_S``), then every subscription and connection is
-        closed. A failed pipeline keeps FAILED and its cause but is closed too,
+        """Graceful stop from any thread: end a ``run`` in progress and wait
+        for it to return, make a last pass of ``run`` (a stage failure is
+        logged, not raised), then close every subscription and connection.
+        A failed pipeline keeps FAILED and its cause but is closed too,
         which frees the source queue's consumer slot for the next launch.
         """
+        # Set before taking the lock, so a real-clock run wakes from its wait.
+        self._stop.set()
         with self._lock:
             if self.state is PipelineState.RUNNING:
-                self._stop.set()
-                if self._driver is None:
-                    self._run_logged()
-                else:
-                    self._driver.join(timeout=DRAIN_TIMEOUT_S)
+                try:
+                    self.run()
+                except Exception:
+                    logger.exception("pipeline %s failed", self.plan.id)
                 if self.state is PipelineState.RUNNING:
                     self.state = PipelineState.STOPPED
             if self._source is not None:
@@ -459,9 +447,12 @@ def launch(
     store: HistoricStore | None = None,
     clock: Clock | None = None,
     duration_ms: int | None = None,
-    threaded: bool = True,
+    threaded: bool = False,
 ) -> Pipeline:
-    """Declare queues, wire stages and start them; failures roll back cleanly."""
+    """Declare queues and wire stages; failures roll back cleanly. Starts no
+    thread: ``threaded`` is kept only for callers that pass False."""
+    if threaded:
+        raise ValueError("launch starts no thread; run pipe.run() on a thread you own")
     pipeline = Pipeline(plan, broker, store, clock=clock, duration_ms=duration_ms)
-    return pipeline.start(threaded=threaded)
+    return pipeline.start()
 

@@ -1,6 +1,7 @@
 import shutil
 import tempfile
 import threading
+import time
 from collections import deque
 from pathlib import Path
 
@@ -60,16 +61,20 @@ def test_single_consumer_enforced(broker):
 
 
 def test_receive_timeout_returns_none(broker):
+    # A consumer never waits: an empty queue gives None at once.
     q = broker.declare_queue(QueueConfig(name="q"))
     sub = broker.subscribe(q)
-    assert sub.receive(timeout=0.01) is None
+    assert sub.receive() is None
+    assert sub.receive(timeout=0) is None
+    with pytest.raises(ValueError, match="never waits"):
+        sub.receive(timeout=0.01)
 
 
 def test_receive_many_batches(broker):
     q = broker.declare_queue(QueueConfig(name="q"))
     q.publish_many([_t(i) for i in range(10)])
     sub = broker.subscribe(q)
-    batch = sub.receive_many(4, timeout=0.1)
+    batch = sub.receive_many(4)
     assert [t.attributes["seq"] for t in batch] == [0, 1, 2, 3]
     assert len(sub.drain()) == 6
 
@@ -118,7 +123,7 @@ def test_spill_flushes_once_per_publish_call(broker, monkeypatch):
     got = []
     for b in range(4):
         q.publish_many([_t(i) for i in range(b * 20, b * 20 + 20)])
-        got += [t.attributes["seq"] for t in sub.receive_many(9, timeout=0)]
+        got += [t.attributes["seq"] for t in sub.receive_many(9)]
         stats = q.stats()
         assert stats.published == stats.delivered + stats.in_memory + stats.on_disk
     q.publish(_t(80))
@@ -164,7 +169,7 @@ def test_interleaved_publish_consume_keeps_fifo(broker):
         for _ in range(13):
             q.publish(_t(seq))
             seq += 1
-        got.extend(t.attributes["seq"] for t in sub.receive_many(7, timeout=0.1))
+        got.extend(t.attributes["seq"] for t in sub.receive_many(7))
     got.extend(t.attributes["seq"] for t in sub.drain())
     assert got == list(range(seq))
 
@@ -183,10 +188,14 @@ def test_concurrent_publish_consume_no_loss(broker):
 
     def consume():
         while True:
-            batch = sub.receive_many(512, timeout=0.05)
+            # Read before the drain: once set, no producer publishes again.
+            finished = done.is_set()
+            batch = sub.drain()
             received.extend(batch)
-            if not batch and done.is_set():
-                return
+            if not batch:
+                if finished:
+                    return
+                time.sleep(0.001)
 
     ct = threading.Thread(target=consume, daemon=True)
     ct.start()
@@ -197,6 +206,7 @@ def test_concurrent_publish_consume_no_loss(broker):
         t.join()
     done.set()
     ct.join(timeout=10.0)
+    assert not ct.is_alive()
     assert len(received) == n_producers * per
     # Per-producer order survives even though global interleaving is free.
     by_src: dict[str, list[int]] = {}
@@ -251,6 +261,29 @@ def test_torn_spill_append_loses_nothing_accepted(broker, monkeypatch, tear_at):
     assert list(broker.spill_root.glob("q/*")) == []
 
 
+@pytest.mark.parametrize(
+    "last_line", [b"garbage", b'{"ts":3,"src":"\xff"}'], ids=["garbage", "not-utf8"]
+)
+def test_undecodable_spill_line_is_skipped_once(broker, caplog, last_line):
+    # The line is consumed and counted once; the tuples around it are
+    # delivered in order and the queue keeps working.
+    q = broker.declare_queue(QueueConfig(name="q", memory_capacity=1))
+    q.publish_many([_t(i) for i in range(4)])
+    (seg,) = broker.spill_root.glob("q/*.ndjson")
+    lines = seg.read_bytes().splitlines()
+    seg.write_bytes(b"\n".join(lines[:-1] + [last_line]) + b"\n")
+    sub = broker.subscribe(q)
+    with caplog.at_level("WARNING", logger="conflux.broker"):
+        assert sub.drain() == [_t(0), _t(1), _t(2)]
+    assert "skipped a spill line" in caplog.text
+    s = q.stats()
+    assert (s.delivered, s.in_memory, s.on_disk, s.bad_lines) == (3, 0, 0, 1)
+    assert s.published == s.delivered + s.in_memory + s.on_disk + s.bad_lines
+    q.publish(_t(4))
+    assert sub.drain() == [_t(4)]
+    assert q.stats().bad_lines == 1
+
+
 def test_drained_spill_retains_under_400_bytes_a_tuple(broker, retained_bytes_per_item):
     # Decoded tuples are slotted and share their attribute names and source
     # id, so a drained backlog costs about what tuples built in memory do.
@@ -270,7 +303,7 @@ def test_stats_conservation_under_partial_consumption(broker):
     for i in range(75):
         q.publish(_t(i))
     sub = broker.subscribe(q)
-    sub.receive_many(30, timeout=0.1)
+    sub.receive_many(30)
     s = q.stats()
     assert s.published == s.delivered + s.in_memory + s.on_disk
 
@@ -361,7 +394,7 @@ class QueueMachine(RuleBasedStateMachine):
 
     @rule(n=st.integers(1, 5))
     def receive_many(self, n):
-        got = self.sub.receive_many(n, timeout=0)
+        got = self.sub.receive_many(n)
         assert len(got) == min(n, len(self.pending))
         self._delivered(got)
 
@@ -382,7 +415,9 @@ class QueueMachine(RuleBasedStateMachine):
         on_disk = len(self.pending) - self.in_memory
         assert (stats.in_memory, stats.on_disk) == (self.in_memory, on_disk)
         assert stats.published == self.published
-        assert stats.published == stats.delivered + stats.in_memory + stats.on_disk
+        assert stats.published == (
+            stats.delivered + stats.in_memory + stats.on_disk + stats.bad_lines
+        )
 
     @invariant()
     def consumed_segments_deleted(self):

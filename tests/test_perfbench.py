@@ -126,6 +126,47 @@ def test_tracer_counts_one_encode_per_written_line(perfbench, tmp_path):
     assert t.totals["model.encode"][0] == len(stored) + len(spilled) - 1
 
 
+def test_spill_burst_reads_each_burst_in_order(tmp_path):
+    # run_spill takes each burst's head with receive(timeout=0), then drains.
+    broker = Broker(tmp_path / "spill")
+    queue = broker.declare_queue(QueueConfig("burst", memory_capacity=3))
+    sub = broker.subscribe(queue)
+    try:
+        for burst in range(2):
+            sent = [StreamTuple(k, {"v": float(k)}, f"b{burst}") for k in range(20)]
+            queue.publish_many(sent)
+            assert queue.stats().on_disk == 17
+            head = sub.receive(timeout=0)
+            assert [head] + sub.drain() == sent
+            assert sub.receive(timeout=0) is None
+        s = queue.stats()
+        assert (s.published, s.delivered, s.in_memory, s.on_disk) == (40, 40, 0, 0)
+    finally:
+        broker.shutdown()
+
+
+def test_traced_consumer_calls_count_each_tuple_once(perfbench, tmp_path):
+    # broker.drain_us_per_tuple sums the receive, receive_many and drain
+    # totals, so a consumer call that made another would count twice.
+    tracer, _ = perfbench
+    t = tracer.Tracer()
+    broker = Broker(tmp_path / "spill")
+    queue = broker.declare_queue(QueueConfig("q", memory_capacity=2))
+    sub = broker.subscribe(queue)
+    names = ("broker.receive", "broker.receive_many", "broker.drain")
+    t.install()
+    try:
+        queue.publish_many([StreamTuple(k, {"v": float(k)}, "burst") for k in range(12)])
+        got = [sub.receive(timeout=0)] + sub.receive_many(4) + sub.drain()
+        assert (sub.receive(), sub.receive_many(3), sub.drain()) == (None, [], [])
+        delivered = queue.stats().delivered
+    finally:
+        t.uninstall()
+        broker.shutdown()
+    assert [t.totals[n][0] for n in names] == [2, 2, 2]
+    assert len(got) == sum(t.totals[n][1] for n in names) == delivered == 12
+
+
 def test_benchmark_json_matches_runner_spec(perfbench):
     # The committed contract and the one the runner would write stay in step.
     run = importlib.import_module("run")

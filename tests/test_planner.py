@@ -114,7 +114,7 @@ def _run_fan_out(spill_root, catalog, texts, arrivals, seconds):
     broker = Broker(spill_root)
     p = plan_many([parse_query(t) for t in texts], catalog)
     clock = VirtualClock(0)
-    pipe = launch(p, broker, clock=clock, duration_ms=seconds * 1_000, threaded=False)
+    pipe = launch(p, broker, clock=clock, duration_ms=seconds * 1_000)
     sinks = [broker.subscribe(s.sink_queue) for s in p.operator_stages]
     source = broker.get_queue(p.source_queue)
     for second in range(seconds + 1):
@@ -186,10 +186,23 @@ def test_plan_json_is_machine_readable(catalog):
 def _launch_virtual(broker, catalog, text, store=None, duration_ms=None, start_ms=0):
     clock = VirtualClock(start_ms)
     p = plan(parse_query(text), catalog)
-    pipe = launch(
-        p, broker, store=store, clock=clock, duration_ms=duration_ms, threaded=False
-    )
+    pipe = launch(p, broker, store=store, clock=clock, duration_ms=duration_ms)
     return pipe, clock, p
+
+
+def _run_on_a_thread(pipe):
+    """Run ``pipe.run()`` on a thread the test owns; the list gets what it raised."""
+    errors = []
+
+    def drive():
+        try:
+            pipe.run()
+        except Exception as exc:
+            errors.append(exc)
+
+    driver = threading.Thread(target=drive, name="driver", daemon=True)
+    driver.start()
+    return driver, errors
 
 
 def test_pipeline_matches_direct_evaluation(broker, catalog):
@@ -280,7 +293,7 @@ def test_hybrid_status_reconciles_every_tuple_in(broker, catalog, tmp_path):
 def test_launch_rolls_back_on_missing_series(broker, catalog, tmp_path):
     store = HistoricStore(tmp_path / "store")
     p = plan(parse_query(NEUBOT_SPEED_MEAN), catalog)
-    pipe = launch(p, broker, store=store, clock=VirtualClock(0), threaded=False)
+    pipe = launch(p, broker, store=store, clock=VirtualClock(0))
     assert pipe.state is PipelineState.FAILED
     assert "speedtest" in pipe.cause
     for q in p.queues:
@@ -291,9 +304,9 @@ def test_launch_rolls_back_on_missing_series(broker, catalog, tmp_path):
 def test_second_pipeline_on_same_source_is_refused(broker, catalog):
     broker.declare_queue(QueueConfig("neubotspeed"))
     p = plan(parse_query(STREAM_MAX), catalog)
-    first = launch(p, broker, clock=VirtualClock(0), threaded=False)
+    first = launch(p, broker, clock=VirtualClock(0))
     assert first.state is PipelineState.RUNNING
-    second = launch(p, broker, clock=VirtualClock(0), threaded=False)
+    second = launch(p, broker, clock=VirtualClock(0))
     assert second.state is PipelineState.FAILED
     assert "consumer" in second.cause or "subscribe" in second.cause
     # The running pipeline kept its queues.
@@ -314,13 +327,11 @@ def test_stop_freezes_status(broker, catalog):
 
 def test_run_needs_a_running_pipeline_on_its_driving_thread(broker, catalog):
     p = plan(parse_query(STREAM_MAX), catalog)
-    pipe = launch(p, broker, duration_ms=10 * MIN, threaded=True)
-    with pytest.raises(PlanError, match="driver thread"):
-        pipe.run()
+    pipe = launch(p, broker, duration_ms=10 * MIN)
     assert pipe.stop().state is PipelineState.STOPPED
     with pytest.raises(PlanError, match="stopped, not running"):
         pipe.run()
-    failed = launch(plan(parse_query(NEUBOT_SPEED_MEAN), catalog), broker, threaded=False)
+    failed = launch(plan(parse_query(NEUBOT_SPEED_MEAN), catalog), broker)
     assert failed.state is PipelineState.FAILED
     with pytest.raises(PlanError, match="failed, not running"):
         failed.run()
@@ -330,8 +341,9 @@ def test_threaded_pipeline_small_run(broker, catalog):
     broker.declare_queue(QueueConfig("neubotspeed"))
     text = "EVERY 1 seconds compute the max value of download_speed of the last 2 seconds from streaming rabbitmq queue neubotspeed"
     p = plan(parse_query(text), catalog)
-    pipe = launch(p, broker, duration_ms=1_200, threaded=True)
+    pipe = launch(p, broker, duration_ms=1_200)
     assert pipe.state is PipelineState.RUNNING
+    driver, errors = _run_on_a_thread(pipe)
     src = broker.get_queue("neubotspeed")
     for t in _feed(5, 100):
         src.publish(
@@ -341,12 +353,12 @@ def test_threaded_pipeline_small_run(broker, catalog):
                 source_id=t.source_id,
             )
         )
-    import time
-
     deadline = time.monotonic() + 5
     while not pipe.operators[0].finished and time.monotonic() < deadline:
         time.sleep(0.02)
     status = pipe.stop()
+    driver.join(timeout=5)
+    assert (driver.is_alive(), errors) == (False, [])
     assert status.state is PipelineState.STOPPED
     got = broker.subscribe(p.operator_stages[0].sink_queue).drain()
     assert len(got) == 1
@@ -374,11 +386,13 @@ def failing_store(monkeypatch, tmp_path):
 
 
 def test_threaded_stage_failure_fails_the_pipeline(broker, catalog, failing_store):
+    # The failure is raised in the caller's thread and recorded on the pipeline.
     p = plan(parse_query(HYBRID_EVERY_SECOND), catalog)
-    pipe = launch(p, broker, store=failing_store, duration_ms=60_000, threaded=True)
-    deadline = time.monotonic() + 5
-    while pipe.status().state is not PipelineState.FAILED and time.monotonic() < deadline:
-        time.sleep(0.02)
+    pipe = launch(p, broker, store=failing_store, duration_ms=60_000)
+    driver, errors = _run_on_a_thread(pipe)
+    driver.join(timeout=5)
+    assert not driver.is_alive()
+    assert [type(e) for e in errors] == [ConnectionError]
     status = pipe.status()
     assert status.state is PipelineState.FAILED
     assert status.cause == "ConnectionError: store unreachable"
@@ -386,7 +400,7 @@ def test_threaded_stage_failure_fails_the_pipeline(broker, catalog, failing_stor
     stopped = pipe.stop()
     assert (stopped.state, stopped.cause) == (PipelineState.FAILED, status.cause)
     # The failed pipeline gave its consumer slots back.
-    again = launch(p, broker, store=failing_store, clock=VirtualClock(0), threaded=False)
+    again = launch(p, broker, store=failing_store, clock=VirtualClock(0))
     assert again.state is PipelineState.RUNNING
     again.stop()
 
@@ -412,11 +426,89 @@ def test_threaded_pipeline_owns_one_thread(broker, catalog):
     ]
     p = plan_many([parse_query(t) for t in texts], catalog)
     before = threading.active_count()
-    pipe = launch(p, broker, duration_ms=10 * MIN, threaded=True)
+    pipe = launch(p, broker, duration_ms=10 * MIN)
     assert pipe.state is PipelineState.RUNNING
+    driver, errors = _run_on_a_thread(pipe)
+    # The caller's thread is the only one that drives the three operators.
     assert threading.active_count() - before == 1
     assert pipe.stop().state is PipelineState.STOPPED
+    driver.join(timeout=5)
+    assert (driver.is_alive(), errors) == (False, [])
     assert threading.active_count() == before
+
+
+def test_launch_starts_no_thread(broker, catalog):
+    p = plan(parse_query(STREAM_MAX), catalog)
+    before = threading.active_count()
+    pipe = launch(p, broker, duration_ms=10 * MIN)
+    assert pipe.state is PipelineState.RUNNING
+    assert threading.active_count() == before
+    assert pipe.stop().state is PipelineState.STOPPED
+    with pytest.raises(ValueError, match="starts no thread"):
+        launch(p, broker, duration_ms=10 * MIN, threaded=True)
+    assert threading.active_count() == before
+
+
+def test_stop_from_another_thread_ends_a_real_clock_run(broker, catalog, monkeypatch):
+    # A poll far longer than the bound: only the stop event can wake the run.
+    monkeypatch.setattr(planner, "POLL_S", 30.0)
+    p = plan(parse_query(STREAM_MAX), catalog)
+    pipe = launch(p, broker, duration_ms=10 * MIN)
+    pumped = threading.Event()
+    real_pump = pipe.pump
+
+    def pump(now=None):
+        pumped.set()
+        return real_pump(now)
+
+    pipe.pump = pump
+    driver, errors = _run_on_a_thread(pipe)
+    assert pumped.wait(timeout=5)
+    time.sleep(0.1)  # into the run's wait for the next trigger
+    assert driver.is_alive()
+    begin = time.monotonic()
+    status = pipe.stop()
+    driver.join(timeout=1)
+    assert time.monotonic() - begin < 1.0
+    assert (driver.is_alive(), errors) == (False, [])
+    assert status.state is PipelineState.STOPPED
+
+
+def test_stop_waits_for_a_pass_in_progress(broker, catalog):
+    # Two threads never pump at once: a stop from another thread makes its
+    # last pass only after the run's pass has ended.
+    p = plan(parse_query(STREAM_MAX), catalog)
+    pipe = launch(p, broker, duration_ms=10 * MIN)
+    inside, release = threading.Event(), threading.Event()
+    calls = []
+    real_pump = pipe.pump
+
+    def pump(now=None):
+        calls.append((threading.current_thread().name, 1))
+        if not inside.is_set():
+            inside.set()
+            release.wait(timeout=5)
+        moved = real_pump(now)
+        calls.append((threading.current_thread().name, -1))
+        return moved
+
+    pipe.pump = pump
+    driver, errors = _run_on_a_thread(pipe)
+    assert inside.wait(timeout=5)
+    stopper = threading.Thread(target=pipe.stop, name="stopper")
+    stopper.start()
+    time.sleep(0.2)
+    assert calls == [("driver", 1)]
+    release.set()
+    for t in (driver, stopper):
+        t.join(timeout=5)
+    assert (driver.is_alive(), stopper.is_alive(), errors) == (False, False, [])
+    depth = 0
+    for _, step in calls:
+        depth += step
+        assert depth in (0, 1)
+    assert ("stopper", 1) in calls
+    assert pipe.status().state is PipelineState.STOPPED
 
 
 # -- one clock reading per pass -------------------------------------------------
@@ -452,7 +544,7 @@ def no_poll_wait(monkeypatch):
 def test_plan_many_anchors_every_operator_at_one_instant(broker, catalog):
     texts = [STREAM_MAX, STREAM_MAX.replace("max", "min"), STREAM_MAX.replace("max", "mean")]
     p = plan_many([parse_query(t) for t in texts], catalog)
-    pipe = launch(p, broker, clock=SteppingClock(5_000, 1), threaded=False)
+    pipe = launch(p, broker, clock=SteppingClock(5_000, 1))
     assert [op.anchor for op in pipe.operators] == [5_000] * 3
     assert pipe.stop().state is PipelineState.STOPPED
 
@@ -462,9 +554,7 @@ def test_real_clock_feed_just_before_each_trigger_is_counted(
     broker, catalog, no_poll_wait, step_ms
 ):
     p = plan(parse_query(ONE_SECOND_MAX), catalog)
-    pipe = launch(
-        p, broker, clock=SteppingClock(1_000_000, step_ms), duration_ms=10_000, threaded=False
-    )
+    pipe = launch(p, broker, clock=SteppingClock(1_000_000, step_ms), duration_ms=10_000)
     anchor = pipe.operators[0].anchor
     feed = [
         StreamTuple(anchor + k * 1_000 - 1, {"download_speed": float(k)}, f"t{k}")
@@ -481,7 +571,7 @@ def test_real_clock_feed_just_before_each_trigger_is_counted(
 def test_closed_result_queue_fails_the_pipeline(broker, catalog, no_poll_wait, real):
     clock = SteppingClock(0, 1_000) if real else VirtualClock(0)
     p = plan(parse_query(STREAM_MAX), catalog)
-    pipe = launch(p, broker, clock=clock, duration_ms=4 * MIN, threaded=False)
+    pipe = launch(p, broker, clock=clock, duration_ms=4 * MIN)
     sink = p.operator_stages[0].sink_queue
     broker.get_queue(sink).close()
     with pytest.raises(ClosedQueueError):
