@@ -80,8 +80,8 @@ def of_values(function: AggregationFunction, values: Iterable[float]) -> Partial
 def from_summary(function: AggregationFunction, count: float, result: float | None) -> Partial:
     """Rebuild a partial from a (count, finalized result) pair.
 
-    This is the inverse of finalize for the supported functions and is how
-    pre-aggregated historic rows re-enter the merge algebra.
+    The inverse of finalize. No engine path calls it, since the store answers
+    history as a partial; ``perfbench/tracer.py`` still counts it by name.
     """
     n = int(count)
     if n != count or n < 0:

@@ -320,7 +320,7 @@ class Pipeline:
         while self.pump(now):
             pass
 
-    def run(self, feed: list[StreamTuple] | None = None, end_ms: int | None = None) -> None:
+    def run(self, feed: list[StreamTuple] | None = None) -> None:
         """The driver loop on either clock: publish due feed, pump, wait.
 
         Each pass reads the clock once, publishes every feed tuple stamped
@@ -329,18 +329,16 @@ class Pipeline:
         the next due instant: the next feed timestamp or the next trigger of
         an unfinished operator. Feed and triggers share one reading, so feed
         published at an instant is admitted before a trigger due then fires,
-        on either clock. A virtual clock jumps to that instant; there an
-        unbounded operator counts only up to ``end_ms``. A real clock waits
-        at most ``POLL_S``, so tuples that other threads publish are pumped
-        too.
+        on either clock. A virtual clock jumps to that instant; there only a
+        bounded operator's triggers are due. A real clock waits at most
+        ``POLL_S``, so tuples that other threads publish are pumped too.
 
-        Returns after the pass that follows ``stop``, when nothing is due,
-        or when the next instant is past ``end_ms``. Once every operator has
-        finished, the rest of the feed is published at once and pumped.
-        The feed must be sorted by timestamp. Raises PlanError unless the
-        pipeline is running. It holds the pipeline lock until it returns, so
-        a ``stop`` from another thread waits for it and two threads never
-        pump at once.
+        Returns after the pass that follows ``stop``, or when nothing is
+        due. Once every operator has finished, the rest of the feed is
+        published at once and pumped. The feed must be sorted by timestamp.
+        Raises PlanError unless the pipeline is running. It holds the
+        pipeline lock until it returns, so a ``stop`` from another thread
+        waits for it and two threads never pump at once.
         """
         with self._lock:
             if self.state is not PipelineState.RUNNING:
@@ -369,15 +367,11 @@ class Pipeline:
                     return
                 due = [feed[i].timestamp] if i < len(feed) else []
                 for op in pending:
-                    nxt = op.next_trigger_ms
-                    bounded = op.end_ms is not None or (end_ms is not None and nxt <= end_ms)
-                    if not virtual or bounded:
-                        due.append(nxt)
+                    if not virtual or op.end_ms is not None:
+                        due.append(op.next_trigger_ms)
                 if not due:
                     return
                 t = min(due)
-                if end_ms is not None and t > end_ms:
-                    return
                 if virtual:
                     self.clock.set_ms(t)
                 else:

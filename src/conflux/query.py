@@ -58,7 +58,7 @@ class QuerySyntaxError(QueryError):
 
 
 class QuerySemanticError(QueryError):
-    """Structurally valid but meaningless (unknown aggregation, zero count)."""
+    """Structurally valid but meaningless (unknown aggregation, bad count)."""
 
 
 class AggregationFunction(enum.Enum):
@@ -72,6 +72,16 @@ class WindowKind(enum.Enum):
     LANDMARK = "landmark"
 
 
+def _check_count(number: int, unit: TimeUnit, what: str) -> None:
+    """A count is at least 1, and ``to_millis`` of it is a timestamp."""
+    if number < 1:
+        raise ValueError(f"{what} must be at least 1, got {number}")
+    try:
+        to_millis(number, unit)
+    except OverflowError as exc:
+        raise ValueError(f"{what} of {exc}") from None
+
+
 @dataclass(frozen=True)
 class Frequency:
     """Trigger recurrence: evaluate the query every ``number`` ``unit``."""
@@ -80,8 +90,7 @@ class Frequency:
     unit: TimeUnit
 
     def __post_init__(self) -> None:
-        if self.number < 1:
-            raise ValueError(f"frequency must be at least 1, got {self.number}")
+        _check_count(self.number, self.unit, "frequency")
 
     @property
     def period_ms(self) -> int:
@@ -102,8 +111,7 @@ class WindowSpec:
     unit: TimeUnit
 
     def __post_init__(self) -> None:
-        if self.number < 1:
-            raise ValueError(f"window size must be at least 1, got {self.number}")
+        _check_count(self.number, self.unit, "window size")
 
     @property
     def duration_ms(self) -> int:
@@ -275,16 +283,17 @@ class _Parser:
         self._advance()
         return unit
 
-    def _positive(self, n: int, tok: Token, what: str) -> int:
-        if n < 1:
-            raise QuerySemanticError(f"{what} must be at least 1, got {n}", tok.line, tok.column)
-        return n
+    def _build_at(self, tok: Token, cls, *args):
+        try:
+            return cls(*args)
+        except ValueError as exc:
+            raise QuerySemanticError(str(exc), tok.line, tok.column) from None
 
     def parse(self) -> QuerySpec:
         self._expect_word("every")
         n, ntok = self._expect_int("count")
         unit = self._expect_unit()
-        frequency = Frequency(self._positive(n, ntok, "frequency"), unit)
+        frequency = self._build_at(ntok, Frequency, n, unit)
 
         self._expect_word("compute")
         self._accept_word("the")
@@ -316,12 +325,12 @@ class _Parser:
             self._expect_word("last")
             n, ntok = self._expect_int("count")
             unit = self._expect_unit()
-            return WindowSpec(WindowKind.SLIDING, self._positive(n, ntok, "window size"), unit)
+            return self._build_at(ntok, WindowSpec, WindowKind.SLIDING, n, unit)
         if self._accept_word("starting"):
             n, ntok = self._expect_int("count")
             unit = self._expect_unit()
             self._expect_word("ago")
-            return WindowSpec(WindowKind.LANDMARK, self._positive(n, ntok, "window size"), unit)
+            return self._build_at(ntok, WindowSpec, WindowKind.LANDMARK, n, unit)
         raise self._fail(["of", "starting"])
 
     def _parse_sources(self) -> SourceSpec:

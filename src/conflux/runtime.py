@@ -3,7 +3,7 @@
 An operator fires on a processing-time schedule (every trigger period) and
 aggregates by event time: window membership is decided by tuple timestamps,
 never by arrival order. The watermark split divides each window into a
-historic part, answered by one grouped store query, and a live part,
+historic part, answered by the store as one partial, and a live part,
 answered from the operator's in-memory buffer. Both parts reduce to
 mergeable partials, so the fusion is a single merge + finalize.
 
@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 from . import aggregates
 from .broker import Queue
-from .model import Interval, StreamTuple, TimeUnit, is_numeric_value
+from .model import Interval, StreamTuple, is_numeric_value
 from .query import AggregationFunction, Frequency, WindowKind, WindowSpec
-from .store import Connection, HistoricQuery
+from .store import Connection
 
 
 @dataclass(frozen=True)
@@ -83,37 +83,21 @@ def hybrid_evaluate(
     historic: Connection | None,
     config: OperatorConfig,
 ) -> WindowResult:
-    """Aggregate one window from historic rows plus buffered live tuples.
+    """Aggregate one window from the store's partial plus buffered live tuples.
 
-    With a historic connection, [window.start, split) is answered by a
-    single-bucket store query and the buffer only serves [split, window.end).
+    With a historic connection, [window.start, split) is answered by one
+    store partial and the buffer only serves [split, window.end).
     Without one the buffer serves the whole window, so a live-only window
     counts exactly the tuples its stream delivered, however far back it
     reaches. ``live_tuples`` must be sorted by timestamp.
     """
     partial = aggregates.empty(config.aggregation)
-    history_count = 0
     live_start = window.start
-    if historic is not None and window.start < min(window.end, split):
-        hist_end = min(window.end, split)
-        span = hist_end - window.start
-        group_by = max(1, -(-span // TimeUnit.SECONDS.millis))
-        rows = historic.query_to_historic(
-            HistoricQuery(
-                function=config.aggregation,
-                value=config.attribute,
-                start=window.start,
-                end=hist_end,
-                group_by_number=group_by,
-                group_by_unit=TimeUnit.SECONDS,
-            )
-        )
-        for row in rows:
-            partial = aggregates.merge(
-                partial, aggregates.from_summary(config.aggregation, row.count, row.result)
-            )
-            history_count += int(row.count)
-        live_start = max(window.start, split)
+    hist_end = min(window.end, split)
+    if historic is not None and window.start < hist_end:
+        partial = historic.partial(config.aggregation, config.attribute, window.start, hist_end)
+        live_start = split
+    history_count = partial.count
 
     live_count = 0
     lo = bisect_left(live_tuples, live_start, key=lambda t: t.timestamp)

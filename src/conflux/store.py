@@ -58,15 +58,15 @@ keep ingest order) and rebuilds every summary if an append arrived out of
 order; otherwise the appended values sort after the indexed ones, and only
 the blocks they complete are summarized.
 
-Grouped queries bucket the series by time, with bucket origin anchored at
-the query start so history buckets line up with whatever window the caller
-is assembling. Every bucket intersecting [start, end) yields a row, empty
-ones included; the last bucket is clipped at the query end. A bucket's index
-range is found by bisection and answered from the summaries of the full
-blocks inside it plus the two partial edge blocks, so its cost grows with
-n / BLOCK + BLOCK, not with n. Sums are added block by block, never
-differenced from prefix sums, which would cancel badly on mixed-sign values;
-a mean can therefore differ from a sequential sum in the last digits.
+The one range primitive, ``partial``, answers [start, end) as a mergeable
+``aggregates.Partial``, (count, sum) for a mean, found by bisection and read
+from the summaries of the full blocks inside it plus the two partial edge
+blocks, so its cost grows with n / BLOCK + BLOCK, not with n. Sums are added
+block by block, never differenced from prefix sums, which would cancel badly
+on mixed-sign values; a mean can therefore differ from a sequential sum in
+the last digits. Grouped queries build each bucket's row on the same fold,
+with buckets anchored at the query start; every bucket intersecting [start,
+end) yields a row, empty ones included, and the last is clipped at the end.
 
 Concurrency: ingest takes the store lock exclusively; queries of registered
 series may run from several threads. Connection handles must not be shared
@@ -87,6 +87,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from . import aggregates
 from .model import (
     MAX_MILLIS,
     AggregateRow,
@@ -234,12 +235,14 @@ class _Column:
         """Every array of the column, in checkpoint order."""
         return (self.ts, self.values, self.other_ts, self.sums, self.mins, self.maxs)
 
-    def reduce(self, function: AggregationFunction, lo: int, hi: int) -> float:
-        """Sum (for mean) or extremum of values[lo:hi], which must be non-empty.
+    def partial(self, function: AggregationFunction, lo: int, hi: int) -> aggregates.Partial:
+        """The partial aggregate of values[lo:hi]; empty when ``lo >= hi``.
 
         Full blocks inside the range are read from their summaries; only the
         two partial edge blocks are read value by value.
         """
+        if lo >= hi:
+            return aggregates.empty(function)
         if function is AggregationFunction.MEAN:
             fold, summary = sum, self.sums
         elif function is AggregationFunction.MIN:
@@ -250,9 +253,9 @@ class _Column:
         first = -(-lo // BLOCK)
         last = hi // BLOCK
         if first >= last:
-            return fold(v[lo:hi])
+            return aggregates.Partial(function, hi - lo, fold(v[lo:hi]))
         parts = (v[lo : first * BLOCK], summary[first:last], v[last * BLOCK : hi])
-        return fold(fold(p) for p in parts if p)
+        return aggregates.Partial(function, hi - lo, fold(fold(p) for p in parts if p))
 
 
 def _key(t: StreamTuple) -> tuple:
@@ -711,41 +714,42 @@ class HistoricStore:
 
     # -- queries ----------------------------------------------------------
 
+    def _column(self, ref: SeriesRef, attribute: str, start: int, end: int) -> _Column:
+        """With the lock held: the refreshed column of a numeric attribute (empty
+        for an empty series), with its non-numeric values in [start, end) counted."""
+        self._check_open()
+        series = self._get(ref)
+        column = series.columns.get(attribute) or _Column()
+        if series.count and not column.values:
+            raise AttributeTypeError(
+                f"attribute {attribute!r} is never numeric in series {ref.label}"
+            )
+        column.refresh(series)
+        other = column.other_ts
+        series.non_numeric_skipped += max(0, bisect_left(other, end) - bisect_left(other, start))
+        return column
+
+    def partial(
+        self, ref: SeriesRef, function: AggregationFunction, attribute: str, start: int, end: int
+    ) -> aggregates.Partial:
+        """The partial aggregate of ``attribute`` over [start, end), empty when start >= end."""
+        with self._lock:
+            column = self._column(ref, attribute, start, end)
+            ts = column.ts
+            return column.partial(function, bisect_left(ts, start), bisect_left(ts, end))
+
     def query_to_historic(self, ref: SeriesRef, q: HistoricQuery) -> list[AggregateRow]:
         """Grouped aggregate rows over [q.start, q.end), one per bucket."""
         with self._lock:
-            self._check_open()
-            series = self._get(ref)
-            column = series.columns.get(q.value)
-            if series.count and (column is None or not column.values):
-                raise AttributeTypeError(
-                    f"attribute {q.value!r} is never numeric in series {ref.label}"
-                )
+            column = self._column(ref, q.value, q.start, q.end)
             width = q.group_by_ms
-            span = q.end - q.start
-            if span <= 0:
-                return []
-            nbuckets = (span + width - 1) // width
-            if column is None:
-                return [AggregateRow(q.start + k * width, 0.0, None) for k in range(nbuckets)]
-            column.refresh(series)
-            other = column.other_ts
-            series.non_numeric_skipped += bisect_left(other, q.end) - bisect_left(other, q.start)
             ts = column.ts
-            mean = q.function is AggregationFunction.MEAN
             rows = []
             lo = bisect_left(ts, q.start)
-            for k in range(nbuckets):
-                bucket_start = q.start + k * width
+            for bucket_start in range(q.start, q.end, width):
                 hi = bisect_left(ts, min(bucket_start + width, q.end), lo)
-                n = hi - lo
-                if n == 0:
-                    result = None
-                elif mean:
-                    result = column.reduce(q.function, lo, hi) / n
-                else:
-                    result = column.reduce(q.function, lo, hi)
-                rows.append(AggregateRow(bucket_start, float(n), result))
+                p = column.partial(q.function, lo, hi)
+                rows.append(AggregateRow(bucket_start, float(p.count), p.finalize()))
                 lo = hi
             return rows
 
@@ -763,6 +767,13 @@ class Connection:
         self._store = store
         self.ref = ref
         self._open = True
+
+    def partial(
+        self, function: AggregationFunction, attribute: str, start: int, end: int
+    ) -> aggregates.Partial:
+        if not self._open:
+            raise ClosedConnectionError(f"connection to {self.ref.label} is closed")
+        return self._store.partial(self.ref, function, attribute, start, end)
 
     def query_to_historic(self, q: HistoricQuery) -> list[AggregateRow]:
         if not self._open:

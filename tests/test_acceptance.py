@@ -241,11 +241,9 @@ def _run_neubot_query(text, store, live, tmp_path, periods):
     duration = spec.frequency.period_ms * periods
     clock = VirtualClock(SPLIT)
     broker = Broker(tmp_path / f"spill-{the_plan.id}")
-    pipe = launch(
-        the_plan, broker, store, clock=clock, duration_ms=duration, threaded=False
-    )
+    pipe = launch(the_plan, broker, store, clock=clock, duration_ms=duration)
     assert pipe.state is PipelineState.RUNNING, pipe.cause
-    pipe.run(feed=live, end_ms=SPLIT + duration)
+    pipe.run(feed=live)
     results = [
         result_from_tuple(t)
         for t in broker.subscribe(result_queue_name(spec)).drain()

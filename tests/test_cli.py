@@ -69,6 +69,25 @@ def test_bad_query_text_is_usage_error(capsys):
     assert "query error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        ("EVERY 1 minutes compute the max value of v of the last 200000000000 days "
+         "from streaming rabbitmq queue q", 56),
+        ("EVERY 200000000000 days compute the max value of v of the last 2 days "
+         "from streaming rabbitmq queue q", 7),
+    ],
+)
+def test_count_too_long_for_a_timestamp_is_a_query_error(roots, tmp_path, capsys, text, column):
+    log = tmp_path / "live.ndjson"
+    _write_ndjson(log, [StreamTuple(0, {"v": 1.0}, "t")])
+    for argv in (["explain", text], ["query", text, "--replay", str(log)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("query error: ") and "Traceback" not in err
+        assert err.strip().endswith(f"exceeds the representable range (line 1, column {column})")
+
+
 def test_ingest_requires_store_root(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("CONFLUX_STORE_ROOT", raising=False)
     log = tmp_path / "x.ndjson"

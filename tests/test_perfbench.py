@@ -58,6 +58,52 @@ def test_workload_driver_runs_one_live_query(perfbench, tmp_path):
     assert out.layer["runtime.late_dropped"] == 0
 
 
+def test_workload_driver_runs_one_hybrid_query(perfbench, tmp_path):
+    # The path hist-120d takes: a rooted store under HIST_REF, hist_catalog,
+    # and a window that the store and the live stream answer together.
+    tracer, workloads = perfbench
+    ctx = workloads.Context(seed=1, seconds=1.0, trace=False, work=tmp_path, tracer=tracer.Tracer())
+    out = workloads.Outcome()
+    minute = workloads.MINUTE
+    split = workloads.EPOCH + 30 * minute
+    hist_ts = array("q", range(split - 20 * minute, split, minute))
+    hist_values = array("d", (40.0 + k % 5 for k in range(len(hist_ts))))
+    history = workloads.Timeline(hist_ts, {"download_speed": hist_values})
+    store = HistoricStore(tmp_path / "store")
+    store.register_series(workloads.HIST_REF)
+    stored = [
+        StreamTuple(t, {"download_speed": v}, f"n{k}")
+        for k, (t, v) in enumerate(zip(hist_ts, hist_values))
+    ]
+    assert store.ingest(workloads.HIST_REF, stored) == len(stored)
+    spec = parse_query(
+        "EVERY 1 minutes compute the mean value of download_speed of the last 10 minutes "
+        "from influxdb database neubot series speedtest and streaming rabbitmq queue neubotspeed"
+    )
+    live_ts = array("q", range(split, split + minute, 10_000))
+    live_values = array("d", (60.0 + k for k in range(len(live_ts))))
+    live = workloads.Timeline(live_ts, {"download_speed": live_values}, arrival=live_ts)
+    arrivals = [
+        (t, StreamTuple(t, {"download_speed": v}, "live")) for t, v in zip(live_ts, live_values)
+    ]
+    (seg,) = workloads.segments(arrivals, split, minute, 1)
+    clock = VirtualClock(split)
+    try:
+        catalog = workloads.hist_catalog(store)
+        pipe = workloads.start_pipeline(ctx, [spec], catalog, store, clock, "hybrid")
+        drive = workloads.Driver(pipe, clock, ctx, out)
+        drive.segment(1, seg, split + minute)
+        results = drive.results()
+        workloads.check_results(out, [spec], results, split + minute, (history, live), "hybrid")
+        drive.finish()
+    finally:
+        store.close()
+    assert (out.attempted, out.failed) == (1, 0), out.mismatches
+    ((result,),) = results
+    # The window [split - 9 min, split + 1 min) holds 9 stored minutes.
+    assert (result.attributes["hist_count"], result.attributes["live_count"]) == (9, 6)
+
+
 def test_workload_driver_traces_a_fan_out_plan(perfbench, tmp_path):
     # A traced step reads the stats of every operator stage's input queue, and
     # the fan-out counters feed planner.fanout_copies_per_tuple.

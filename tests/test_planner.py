@@ -209,7 +209,7 @@ def test_pipeline_matches_direct_evaluation(broker, catalog):
     feed = _feed(200, 3_000)
     pipe, clock, p = _launch_virtual(broker, catalog, STREAM_MAX, duration_ms=10 * MIN)
     assert pipe.state is PipelineState.RUNNING
-    pipe.run(feed=feed, end_ms=10 * MIN)
+    pipe.run(feed=feed)
     results = broker.subscribe(p.operator_stages[0].sink_queue)
     got = [result_from_tuple(t) for t in results.drain()]
     pipe.stop()
@@ -224,7 +224,7 @@ def test_pipeline_matches_direct_evaluation(broker, catalog):
 def test_pipeline_counts_conserve_at_quiescence(broker, catalog):
     feed = _feed(150, 2_000)
     pipe, clock, p = _launch_virtual(broker, catalog, STREAM_MAX, duration_ms=5 * MIN)
-    pipe.run(feed=feed, end_ms=5 * MIN)
+    pipe.run(feed=feed)
     status = pipe.status()
     src = status.queues["neubotspeed"]
     assert src.published == 150
@@ -246,7 +246,7 @@ def test_hybrid_pipeline_reads_history(broker, catalog, tmp_path):
         broker, catalog, NEUBOT_SPEED_MEAN, store=store, duration_ms=40_000, start_ms=60_000
     )
     live = _feed(20, 1_000, start=60_000, seed=6)
-    pipe.run(feed=live, end_ms=100_000)
+    pipe.run(feed=live)
     got = [result_from_tuple(t) for t in broker.subscribe(p.operator_stages[0].sink_queue).drain()]
     pipe.stop()
     store.close()
@@ -276,9 +276,9 @@ def test_hybrid_status_reconciles_every_tuple_in(broker, catalog, tmp_path):
     text = StreamTuple(anchor + 5_000, {"download_speed": "fast"}, "text")
     live = _feed(3, 1_000, start=anchor + 1_000, seed=6)
     feed = sorted([late, behind, text, *live], key=lambda t: t.timestamp)
-    for end_ms, fired in ((anchor + 15_000, 0), (anchor + 25_000, 1)):
-        pipe.run(feed=feed, end_ms=end_ms)
-        feed = []
+    broker.get_queue("neubotspeed").publish_many(feed)
+    for now, fired in ((anchor + 15_000, 0), (anchor + 25_000, 1)):
+        pipe.pump(now)
         (op,) = [s for s in pipe.status().stages if s.kind == "operator"]
         assert (op.tuples_in, op.tuples_out) == (6, fired)
         assert (op.late_dropped, op.behind_watermark, op.non_numeric_skipped) == (1, 1, 1)
@@ -316,7 +316,7 @@ def test_second_pipeline_on_same_source_is_refused(broker, catalog):
 
 def test_stop_freezes_status(broker, catalog):
     pipe, clock, _ = _launch_virtual(broker, catalog, STREAM_MAX, duration_ms=4 * MIN)
-    pipe.run(feed=_feed(50, 4_000), end_ms=4 * MIN)
+    pipe.run(feed=_feed(50, 4_000))
     status = pipe.stop()
     assert status.state is PipelineState.STOPPED
     after = pipe.status()
@@ -375,10 +375,10 @@ HYBRID_EVERY_SECOND = (
 
 @pytest.fixture
 def failing_store(monkeypatch, tmp_path):
-    def refuse(self, q):
+    def refuse(self, *args):
         raise ConnectionError("store unreachable")
 
-    monkeypatch.setattr(Connection, "query_to_historic", refuse)
+    monkeypatch.setattr(Connection, "partial", refuse)
     store = HistoricStore(tmp_path / "store")
     store.register_series(SeriesRef("influxdb", "neubot", "speedtest"))
     yield store
@@ -575,7 +575,7 @@ def test_closed_result_queue_fails_the_pipeline(broker, catalog, no_poll_wait, r
     sink = p.operator_stages[0].sink_queue
     broker.get_queue(sink).close()
     with pytest.raises(ClosedQueueError):
-        pipe.run(_feed(50, 4_000), end_ms=4 * MIN)
+        pipe.run(_feed(50, 4_000))
     status = pipe.stop()
     assert (status.state, status.cause) == (
         PipelineState.FAILED,

@@ -136,6 +136,34 @@ def test_zero_frequency_rejected():
         parse_query("EVERY 0 seconds compute the mean value of v of the last 2 minutes")
 
 
+# 2**63 ms is about 106,751,991,167 days.
+TOO_MANY_DAYS = 200_000_000_000
+
+
+@pytest.mark.parametrize(
+    "text, column, what",
+    [
+        (f"EVERY {TOO_MANY_DAYS} days compute the max of v of the last 2 days", 7, "frequency"),
+        (f"EVERY 1 days compute the max of v of the last {TOO_MANY_DAYS} days", 47, "window size"),
+        (f"EVERY 1 days compute the max of v starting {TOO_MANY_DAYS} days ago", 44, "window size"),
+    ],
+)
+def test_count_too_long_for_a_timestamp_is_semantic_error(text, column, what):
+    with pytest.raises(QuerySemanticError, match=f"^{what} of ") as exc:
+        parse_query(text)
+    assert (exc.value.line, exc.value.column) == (1, column)
+
+
+def test_largest_representable_count_parses():
+    days = (2**63 - 1) // TimeUnit.DAYS.millis
+    spec = parse_query(f"EVERY 1 days compute the max value of v starting {days} days ago")
+    assert spec.window.duration_ms == days * TimeUnit.DAYS.millis
+    with pytest.raises(ValueError, match="exceeds the representable range"):
+        WindowSpec(WindowKind.LANDMARK, days + 1, TimeUnit.DAYS)
+    with pytest.raises(ValueError, match="exceeds the representable range"):
+        Frequency(days + 1, TimeUnit.DAYS)
+
+
 def test_truncated_query():
     with pytest.raises(QuerySyntaxError):
         parse_query("EVERY 20 seconds compute the mean value of")

@@ -1,18 +1,21 @@
 import builtins
+import math
 import random
 import shutil
 import tempfile
 import zlib
 from array import array
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from conflux import aggregates
 from conflux import store as store_module
-from conflux.model import StreamTuple, TimeUnit, is_numeric_value
+from conflux.model import AggregateRow, StreamTuple, TimeUnit, is_numeric_value
 from conflux.query import AggregationFunction
 from conflux.store import (
     CHECKPOINT,
@@ -26,7 +29,7 @@ from conflux.store import (
     UnknownSeriesError,
 )
 
-from oracle import close, encode_tuple as oracle_encode, scan_group_rows
+from oracle import close, encode_tuple as oracle_encode, scan_group_rows, window_values
 
 REF = SeriesRef("influxdb", "testdb", "s1")
 
@@ -406,6 +409,91 @@ def test_block_index_matches_scan_oracle(seed, tmp_path, monkeypatch):
     reopened = HistoricStore(root)
     assert _check_against_oracle(reopened, first + second, queries) == rows
     reopened.close()
+
+
+# -- the range primitive against the scan oracle ------------------------------
+
+PARTIAL_BLOCK = 4
+PARTIAL_GRID = 500
+# "v" is a float, an int, a string, an int too large for a float, or absent.
+_partial_values = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.integers(-50, 50),
+    st.sampled_from(["n/a", 10**400, None]),
+)
+
+
+@st.composite
+def _partial_batches(draw):
+    """More than PARTIAL_BLOCK tuples in 1-3 ingest batches, each in time order
+    or not, on a coarse grid so that timestamps tie."""
+    n = draw(st.integers(PARTIAL_BLOCK + 1, 40))
+    tuples = []
+    for i in range(n):
+        v = draw(_partial_values)
+        attrs = {"w": 1.0} if v is None else {"v": v}
+        tuples.append(StreamTuple(draw(st.integers(0, 30)) * PARTIAL_GRID, attrs, f"s{i}"))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=2)))
+    batches = [tuples[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+    return [sorted(b, key=lambda t: t.timestamp) if draw(st.booleans()) else b for b in batches]
+
+
+_partial_bound = st.integers(-2, 33).map(lambda k: k * PARTIAL_GRID + 250 * (k % 3 == 0))
+
+
+def _partials(s, ranges) -> dict:
+    return {
+        (fn, start, end): s.partial(REF, fn, "v", start, end)
+        for fn in AggregationFunction
+        for start, end in ranges
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    batches=_partial_batches(),
+    ranges=st.lists(st.tuples(_partial_bound, _partial_bound), min_size=1, max_size=5),
+    width_s=st.integers(1, 4),
+)
+def test_partial_matches_scan_oracle_and_builds_every_row(batches, ranges, width_s):
+    tuples = [t for batch in batches for t in batch]
+    root = Path(tempfile.mkdtemp())
+    try:
+        with mock.patch.object(store_module, "BLOCK", PARTIAL_BLOCK):
+            s = HistoricStore(root)
+            s.register_series(REF)
+            for batch in batches:
+                s.ingest(REF, batch)
+            answers = _partials(s, ranges)
+            for (fn, start, end), p in answers.items():
+                values = window_values(tuples, "v", start, end)
+                assert p.function is fn and p.count == len(values)
+                if not values:
+                    assert p == aggregates.empty(fn)
+                elif fn is AggregationFunction.MEAN:
+                    bound = 1e-9 * math.fsum(abs(v) for v in values)
+                    assert abs(p.acc - math.fsum(values)) <= bound
+                else:
+                    assert p.acc == (min(values) if fn is AggregationFunction.MIN else max(values))
+            for fn, start, end in answers:
+                if start > end:
+                    continue
+                width = width_s * 1_000
+                rows = s.query_to_historic(REF, _q(fn, start, end, width_s, TimeUnit.SECONDS))
+                want = []
+                for b in range(start, end, width):
+                    p = s.partial(REF, fn, "v", b, min(b + width, end))
+                    want.append(AggregateRow(b, float(p.count), p.finalize()))
+                assert rows == want
+            s.close()
+            for checkpoint in (True, False):
+                if not checkpoint:
+                    (root / REF.provider / REF.database / REF.series / CHECKPOINT).unlink()
+                reopened = HistoricStore(root)
+                assert _partials(reopened, ranges) == answers
+                reopened.close()
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
 
 
 def _count_summaries(monkeypatch) -> list:
